@@ -2,8 +2,9 @@
 generate instances, and run the property selftest.
 
 Exit codes: 0 when every reported verdict holds, 1 when a verdict is false,
-2 on invalid input (bad JSON, malformed diagram, bad flags).  Output is
-canonical: the same input and flags always print the same bytes.
+2 on invalid input (bad JSON, malformed diagram, bad flags), 3 when an
+internal cross-check fails, which is a bug.  Output is canonical: the same
+input and flags always print the same bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .diagrams import GenConfig, gen_exact_pair, gen_semicartesian, gen_snake_in
 from .errors import (
     DiagramFormatError,
     GenerationError,
+    InternalCheckError,
     PreconditionError,
     ShapeError,
 )
@@ -354,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
             GenerationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except InternalCheckError as exc:
+        sys.stderr.write(f"internal error (this is a bug): {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import (
-    Biproduct,
     Mor,
     Obj,
     biproduct,
@@ -89,15 +88,11 @@ class PushoutData:
     b: Mor
 
 
-def _corner_biproduct(x: Obj, y: Obj) -> Biproduct:
-    return biproduct(x, y)
-
-
 def pullback(c: Mor, d: Mor) -> PullbackData:
     """The fiber product of two maps with a common target."""
     if c.dst != d.dst:
         raise ShapeError(f"pullback needs a common target: {c.dst} vs {d.dst}")
-    bp = _corner_biproduct(c.src, d.src)
+    bp = biproduct(c.src, d.src)
     diff = c @ bp.proj_p - d @ bp.proj_q
     kd = kernel(diff)
     n = kd.ker_mor
@@ -118,7 +113,7 @@ def pullback_lift(pb: PullbackData, x: Mor, y: Mor) -> Mor:
         raise PreconditionError(
             f"pullback lift needs c @ x = d @ y, got residual {residual.mat}"
         )
-    bp = _corner_biproduct(pb.c.src, pb.d.src)
+    bp = biproduct(pb.c.src, pb.d.src)
     combined = bp.ins_i @ x + bp.ins_j @ y
     return mono_lift(pb.n, combined)
 
@@ -127,7 +122,7 @@ def pushout(a: Mor, b: Mor) -> PushoutData:
     """The amalgamated sum of two maps with a common source."""
     if a.src != b.src:
         raise ShapeError(f"pushout needs a common source: {a.src} vs {b.src}")
-    bp = _corner_biproduct(a.dst, b.dst)
+    bp = biproduct(a.dst, b.dst)
     summed = bp.ins_i @ a + bp.ins_j @ b
     cd = cokernel(summed)
     t = cd.coker_mor
@@ -148,7 +143,7 @@ def pushout_colift(po: PushoutData, x: Mor, y: Mor) -> Mor:
         raise PreconditionError(
             f"pushout colift needs x @ a = y @ b, got residual {residual.mat}"
         )
-    bp = _corner_biproduct(po.a.dst, po.b.dst)
+    bp = biproduct(po.a.dst, po.b.dst)
     combined = x @ bp.proj_p - y @ bp.proj_q
     return epi_colift(po.t, combined)
 

@@ -10,10 +10,11 @@ null object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Callable, Iterable, Sequence
 
 from .errors import ShapeError
-from .fields import Scalar, ScalarField
+from .fields import GFElement, Scalar, ScalarField
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,10 @@ class Matrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
+        p = self.field.p
         for e in self.entries:
-            if not self.field.contains(e):
+            if not (isinstance(e, Fraction) if p is None
+                    else isinstance(e, GFElement) and e.p == p):
                 raise ShapeError(f"entry {e!r} does not belong to {self.field}")
 
     # -- construction -----------------------------------------------------
@@ -141,16 +144,29 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        zero = self.field.zero()
-        out: list[Scalar] = []
+        # Row by row: row i of the product sums x * (row k of other) over the
+        # nonzero entries x = self[i, k], and each right-hand row contributes
+        # only its nonzero entries.  Biproduct blocks make most operands zero.
+        k, n, p = self.cols, other.cols, self.field.p
+        if p is None:
+            left, right, zero = self.entries, other.entries, Fraction(0)
+        else:
+            left = [e.value for e in self.entries]
+            right = [e.value for e in other.entries]
+            zero = 0
+        right_rows = [[(j, y) for j, y in enumerate(right[r * n:(r + 1) * n]) if y]
+                      for r in range(other.rows)]
+        out: list = []
         for i in range(self.rows):
-            base = i * self.cols
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[base + k] * other.entries[k * other.cols + j]
-                out.append(acc)
-        return Matrix(self.rows, other.cols, tuple(out), self.field)
+            acc = [zero] * n
+            for x, row in zip(left[i * k:(i + 1) * k], right_rows):
+                if x:
+                    for j, y in row:
+                        acc[j] += x * y
+            out.extend(acc)
+        if p is not None:
+            out = _boxed(p, [v % p for v in out])
+        return Matrix(self.rows, n, tuple(out), self.field)
 
     def transpose(self) -> Matrix:
         ents = tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows))
@@ -178,8 +194,25 @@ class Matrix:
         return "[" + ", ".join(rows) + "]"
 
 
-def _rref_rows(rows: list[list[Scalar]], ncols: int) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduce in place; returns (rows, pivot column indices)."""
+def _boxed(p: int, residues: list[int]) -> list[GFElement]:
+    """Residues in ``[0, p)`` as scalars, one ``GFElement`` per distinct value.
+
+    Sharing is safe because ``GFElement`` is frozen.
+    """
+    box = {v: GFElement(v, p) for v in set(residues)}
+    return [box[v] for v in residues]
+
+
+def _rref_rows(rows: list[list], ncols: int,
+               normalize: Callable[[list, int], list],
+               eliminate: Callable[[list, list, int], list]) -> list[int]:
+    """Reduce ``rows`` in place; returns the pivot column indices.
+
+    The pivot is the first nonzero entry scanning top to bottom, then left to
+    right.  Only the arithmetic depends on the field: ``normalize(row, c)``
+    scales a pivot row so that its entry ``c`` is one, and
+    ``eliminate(row, pivot_row, c)`` clears entry ``c`` of another row.
+    """
     pivots: list[int] = []
     pr = 0
     nrows = len(rows)
@@ -192,28 +225,54 @@ def _rref_rows(rows: list[list[Scalar]], ncols: int) -> tuple[list[list[Scalar]]
         if pivot_row is None:
             continue
         rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        piv = rows[pr][c]
-        rows[pr] = [x / piv for x in rows[pr]]
+        rows[pr] = prow = normalize(rows[pr], c)
         for r in range(nrows):
             if r != pr and rows[r][c]:
-                factor = rows[r][c]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pr])]
+                rows[r] = eliminate(rows[r], prow, c)
         pivots.append(c)
         pr += 1
         if pr == nrows:
             break
-    return rows, pivots
+    return pivots
+
+
+def _q_normalize(row: list[Fraction], c: int) -> list[Fraction]:
+    piv = row[c]
+    return [x / piv for x in row]
+
+
+def _q_eliminate(row: list[Fraction], prow: list[Fraction], c: int) -> list[Fraction]:
+    factor = row[c]
+    return [a - factor * b for a, b in zip(row, prow)]
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form with its pivot columns and rank.
 
     Pivot choice is the first nonzero entry top to bottom, left to right, so
-    the result is canonical for each matrix.
+    the result is canonical for each matrix.  Over GF(p) the elimination runs
+    on plain integer residues and boxes the result once.
     """
-    rows, pivots = _rref_rows(m.row_list(), m.cols)
-    flat = tuple(x for row in rows for x in row)
-    return Matrix(m.rows, m.cols, flat, m.field), tuple(pivots), len(pivots)
+    p = m.field.p
+    rows = m.row_list()
+    if p is None:
+        pivots = _rref_rows(rows, m.cols, _q_normalize, _q_eliminate)
+        flat = [x for row in rows for x in row]
+    else:
+        def normalize(row: list[int], c: int) -> list[int]:
+            inv = pow(row[c], -1, p)
+            return [x * inv % p for x in row]
+
+        def eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
+            # The pivot row is zero left of its pivot column c, so those
+            # entries of row stay as they are.
+            factor = row[c]
+            return row[:c] + [(a - factor * b) % p for a, b in zip(row[c:], prow[c:])]
+
+        rows = [[e.value for e in row] for row in rows]
+        pivots = _rref_rows(rows, m.cols, normalize, eliminate)
+        flat = _boxed(p, [x for row in rows for x in row])
+    return Matrix(m.rows, m.cols, tuple(flat), m.field), tuple(pivots), len(pivots)
 
 
 def rank(m: Matrix) -> int:

@@ -4,9 +4,11 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
+from abcat import cli
 from abcat.category import Mor, Obj, zero_mor
 from abcat.cli import main
 from abcat.diagram_io import (
@@ -16,6 +18,7 @@ from abcat.diagram_io import (
     serialize,
 )
 from abcat.diagrams import GenConfig, gen_semicartesian
+from abcat.errors import InternalCheckError
 from abcat.fields import RATIONALS
 from abcat.linalg import Matrix
 
@@ -133,6 +136,24 @@ def test_pullback_shape_error_is_input_error(run, square_file):
     # top and bottom do not share a target, so the pullback is ill-posed
     code, out, err = run("pullback", square_file, "--of", "top,bottom")
     assert code == 2 and "error:" in err
+
+
+def test_pullback_of_empty_target_runs_in_bounded_time(run, tmp_path):
+    # f: Q^150 -> 0, so the pullback of (f, f) is all of Q^300.  Its legs are
+    # products with 300 x 300 biproduct blocks, which must not cost cubic
+    # scalar arithmetic.
+    doc = {"field": {"kind": "Q"}, "objects": {"A": 150, "Z": 0},
+           "morphisms": {"f": {"src": "A", "dst": "Z", "matrix": []}},
+           "diagram": {"kind": "morphism", "roles": {"f": "f"}}}
+    path = _write(tmp_path, "wide.json", json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run("pullback", path, "--of", "f,f")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    assert "apex_dim: 300\n" in out
+    leg_f = next(ln for ln in out.splitlines() if ln.startswith("leg_f: "))
+    assert leg_f.count("], [") == 149  # 150 rows
+    assert elapsed < 10.0
 
 
 # -- square -------------------------------------------------------------------------
@@ -279,6 +300,18 @@ def test_selftest_repeatable_field_flag(run):
                        "--field", "q", "--field", "gf:5")
     assert code == 0
     assert "[Q]" in out and "[GF(5)]" in out
+
+
+def test_internal_check_failure_is_exit_three(run, tmp_path, monkeypatch):
+    def broken(f):
+        raise InternalCheckError("pivot columns failed to span their own matrix")
+    monkeypatch.setattr(cli, "epi_mono_factorize", broken)
+    path = _write(tmp_path, "m.json",
+                  serialize(diagram_for_morphism(qmor([[1, 2], [2, 4]]))))
+    code, out, err = run("factor", path, "--morphism", "f")
+    assert code == 3 and out == ""
+    assert err == ("internal error (this is a bug): "
+                   "pivot columns failed to span their own matrix\n")
 
 
 # -- entry points ----------------------------------------------------------------------

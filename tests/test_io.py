@@ -1,6 +1,8 @@
 """JSON diagram round-trips, format validation with precise paths, reports."""
 
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -115,6 +117,22 @@ def test_gfp_entries_must_be_reduced_residues():
     with pytest.raises(DiagramFormatError) as exc:
         parse_text(text)
     assert "matrix[1][0]" in str(exc.value)
+
+
+def _readme_field_spellings():
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## JSON diagram format")[1]
+    line = next(ln for ln in block.splitlines() if ln.strip().startswith('"field":'))
+    return [json.loads(obj) for obj in re.findall(r"\{[^{}]*\}", line)]
+
+
+def test_readme_field_spellings_parse():
+    spellings = _readme_field_spellings()
+    assert len(spellings) == 2
+    residues = {"f": {"src": "A", "dst": "B", "matrix": [["1"], ["0"]]}}
+    fields = [parse_text(_broken(lambda d: d.update(field=f, morphisms=residues))).field
+              for f in spellings]
+    assert fields == [RATIONALS, GF7]
 
 
 def test_parse_path_missing_file(tmp_path):

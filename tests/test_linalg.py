@@ -14,8 +14,9 @@ import random
 import pytest
 import sympy
 
+from abcat.category import Obj, biproduct
 from abcat.errors import ShapeError
-from abcat.fields import RATIONALS, prime_field
+from abcat.fields import RATIONALS, GFElement, prime_field
 from abcat.linalg import (
     Matrix,
     left_nullspace_basis,
@@ -31,6 +32,7 @@ Q = RATIONALS
 GF2 = prime_field(2)
 GF3 = prime_field(3)
 GF7 = prime_field(7)
+GF_BIG = prime_field(2**31 - 1)
 
 
 def qmat(rows, cols=None):
@@ -275,3 +277,111 @@ def test_transpose_involution_and_product_rule():
     b = qmat([[1, 0, 2], [0, 1, 1]])
     assert a.transpose().transpose() == a
     assert (a @ b).transpose() == b.transpose() @ a.transpose()
+
+
+# -- reference kernels --------------------------------------------------------
+#
+# rref and @ compute on plain values and box the results once; these textbook
+# versions compute on the scalar objects themselves, so any difference in
+# pivoting, reduction or zero handling shows up as different entries.
+
+
+def _reference_rref(m):
+    rows = [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+    pivots = []
+    pr = 0
+    for c in range(m.cols):
+        found = [r for r in range(pr, m.rows) if rows[r][c]]
+        if not found:
+            continue
+        rows[pr], rows[found[0]] = rows[found[0]], rows[pr]
+        piv = rows[pr][c]
+        rows[pr] = [x / piv for x in rows[pr]]
+        for r in range(m.rows):
+            if r != pr:
+                factor = rows[r][c]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pr])]
+        pivots.append(c)
+        pr += 1
+    flat = tuple(x for row in rows for x in row)
+    return Matrix(m.rows, m.cols, flat, m.field), tuple(pivots)
+
+
+def _reference_matmul(a, b):
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = a.field.zero()
+            for k in range(a.cols):
+                acc = acc + a.entry(i, k) * b.entry(k, j)
+            out.append(acc)
+    return Matrix(a.rows, b.cols, tuple(out), a.field)
+
+
+def _same_bytes(got, want):
+    return ((got.rows, got.cols, got.field, repr(got.entries))
+            == (want.rows, want.cols, want.field, repr(want.entries)))
+
+
+def _sparse_random(rng, field, rows, cols):
+    """About half the entries zero; the rest small, or anywhere in [0, p)."""
+    def one():
+        if rng.random() < 0.5:
+            return field.zero()
+        if field.p is None:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return field.from_int(rng.choice([rng.randint(-3, 3), rng.randrange(field.p)]))
+    return Matrix(rows, cols, tuple(one() for _ in range(rows * cols)), field)
+
+
+def _block_operands(field):
+    """Insertions and projections of biproducts, empty summands included."""
+    for a, b in [(0, 0), (0, 3), (3, 0), (1, 2), (4, 3)]:
+        bp = biproduct(Obj(a, field), Obj(b, field))
+        yield from (m.mat for m in (bp.ins_i, bp.ins_j, bp.proj_p, bp.proj_q))
+
+
+REFERENCE_FIELDS = [Q, GF2, GF7, GF_BIG]
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
+def test_rref_matches_reference_elimination(field):
+    rng = random.Random(f"rref:{field}")
+    cases = [_sparse_random(rng, field, rng.randint(0, 7), rng.randint(0, 7))
+             for _ in range(60)]
+    cases += [Matrix.zeros(field, 0, 5), Matrix.zeros(field, 5, 0)]
+    for _ in range(15):  # rank-deficient products
+        d, r = rng.randint(1, 8), rng.randint(0, 4)
+        cases.append(_sparse_random(rng, field, d, r) @ _sparse_random(rng, field, r, d))
+    for block in _block_operands(field):
+        cases.append(block)
+        cases.append(_sparse_random(rng, field, block.rows, 2).hstack(block))
+        cases.append(block.hstack(_sparse_random(rng, field, block.rows, 3)))
+    for m in cases:
+        got, pivots, rk = rref(m)
+        want, want_pivots = _reference_rref(m)
+        assert _same_bytes(got, want), m
+        assert pivots == want_pivots and rk == len(want_pivots)
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
+def test_matmul_matches_reference_triple_loop(field):
+    rng = random.Random(f"matmul:{field}")
+    pairs = []
+    for _ in range(60):
+        m, k, n = (rng.randint(0, 6) for _ in range(3))
+        pairs.append((_sparse_random(rng, field, m, k), _sparse_random(rng, field, k, n)))
+    for block in _block_operands(field):
+        pairs.append((_sparse_random(rng, field, rng.randint(0, 4), block.rows), block))
+        pairs.append((block, _sparse_random(rng, field, block.cols, rng.randint(0, 4))))
+        pairs.append((block, block.transpose()))
+        pairs.append((block.transpose(), block))
+    for a, b in pairs:
+        assert _same_bytes(a @ b, _reference_matmul(a, b)), (a, b)
+
+
+def test_entries_from_another_prime_field_rejected():
+    with pytest.raises(ShapeError, match=r"entry GFElement\(value=1, p=5\) does not belong"):
+        Matrix(1, 2, (GFElement(1, 7), GFElement(1, 5)), GF7)
+    with pytest.raises(ShapeError):
+        Matrix(1, 1, (Fraction(1),), GF7)
