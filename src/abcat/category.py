@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, ShapeError
 from .fields import ScalarField
-from .linalg import Matrix, left_nullspace_basis, nullspace_basis, rank, solve_matrix
+from .linalg import Matrix, left_nullspace_basis, nullspace_basis, rank, solve
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def mono_lift(m: Mor, t: Mor) -> Mor:
         raise PreconditionError(f"lift target is not a mono: {m}")
     if t.dst != m.dst:
         raise ShapeError(f"cannot lift {t.src}->{t.dst} through {m.src}->{m.dst}")
-    sol = solve_matrix(m.mat, t.mat)
+    sol = solve(m.mat, t.mat)
     if sol is None:
         raise PreconditionError(
             f"no lift: image of {t} is not contained in image of {m}"
@@ -204,7 +204,7 @@ def epi_colift(e: Mor, t: Mor) -> Mor:
         raise PreconditionError(
             f"no colift: {t} does not vanish on the kernel of {e}, residual {residual}"
         )
-    sol = solve_matrix(e.mat.transpose(), t.mat.transpose())
+    sol = solve(e.mat.transpose(), t.mat.transpose())
     if sol is None:
         raise PreconditionError(f"no colift of {t} through {e}")
     return Mor(e.dst, t.dst, sol.transpose())

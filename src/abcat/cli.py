@@ -10,6 +10,7 @@ input and flags always print the same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .category import Mor
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .fields import RATIONALS, ScalarField, prime_field
 from .properties import run_selftest
-from .snake import SnakeInputError, chase_delta, connecting_morphism, snake_sequence, violations
+from .snake import SnakeInputError, chase_delta, snake_sequence
 from .squares import analyze, compose_h, decompose_semicartesian
 
 
@@ -193,13 +194,13 @@ def cmd_square(args: argparse.Namespace) -> int:
 def cmd_snake(args: argparse.Namespace) -> int:
     df = parse_path(args.file)
     inp = snake_from(df)
-    found = violations(inp)
-    if found:
+    try:
+        out = snake_sequence(inp)
+    except SnakeInputError as exc:
         report = Report(title="snake ladder",
-                        violations=[f"{v.code}: {v.message}" for v in found])
+                        violations=[f"{v.code}: {v.message}" for v in exc.violations])
         sys.stdout.write(report.to_text())
         return 2
-    out = snake_sequence(inp)
     ku, kv, kw = out.ker_u, out.ker_v, out.ker_w
     cu, cv, cw = out.coker_u, out.coker_v, out.coker_w
     report = Report(
@@ -229,7 +230,7 @@ def cmd_snake(args: argparse.Namespace) -> int:
         },
     )
     if args.trace:
-        _, tr = connecting_morphism(inp)
+        tr = out.trace
         report.derived["trace_reduced_a"] = str(tr.reduced.a.mat)
         report.derived["trace_reduced_d"] = str(tr.reduced.d.mat)
         report.derived["trace_pullback_n"] = str(tr.pb.n.mat)
@@ -282,6 +283,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abcat",

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import (
+    Biproduct,
     Mor,
     Obj,
     biproduct,
@@ -29,7 +30,7 @@ from .category import (
     mono_lift,
 )
 from .errors import InternalCheckError, PreconditionError, ShapeError
-from .linalg import rref, solve_matrix
+from .linalg import Matrix, solve
 
 
 @dataclass(frozen=True)
@@ -43,16 +44,15 @@ class Factorization:
 def epi_mono_factorize(f: Mor) -> Factorization:
     """Write ``f = mono_m @ epi_q`` through the image of ``f``.
 
-    The mono is the pivot-column submatrix of ``f`` itself; the epi is found
-    by solving column by column, which always succeeds since every column of
-    ``f`` lies in the span of its pivot columns.
+    The mono is the pivot-column submatrix of ``f`` itself; the epi is the
+    nonzero rows of the echelon form of ``f``, which hold the coordinates of
+    every column of ``f`` in its pivot columns.  Those coordinates are unique
+    because the pivot columns are independent.
     """
-    _, pivots, rnk = rref(f.mat)
+    reduced, pivots, rnk = f.mat.echelon
     img = Obj(rnk, f.field)
     mono = Mor(img, f.dst, f.mat.take_columns(pivots))
-    q_mat = solve_matrix(mono.mat, f.mat)
-    if q_mat is None:
-        raise InternalCheckError("pivot columns failed to span their own matrix")
+    q_mat = Matrix(rnk, f.src.dim, reduced.entries[:rnk * f.src.dim], f.field)
     return Factorization(Mor(f.src, img, q_mat), mono)
 
 
@@ -65,7 +65,7 @@ def image(f: Mor) -> tuple[Obj, Mor]:
 @dataclass(frozen=True)
 class PullbackData:
     """A fiber product of ``(c, d)``: legs ``f, g`` and the kernel embedding
-    ``n`` of the difference map on the biproduct."""
+    ``n`` of the difference map ``diff`` on the biproduct ``bp``."""
 
     p_obj: Obj
     f: Mor
@@ -73,12 +73,14 @@ class PullbackData:
     n: Mor
     c: Mor
     d: Mor
+    bp: Biproduct
+    diff: Mor
 
 
 @dataclass(frozen=True)
 class PushoutData:
     """An amalgamated sum of ``(a, b)``: legs ``r, s`` and the cokernel
-    projection ``t`` of the sum map on the biproduct."""
+    projection ``t`` of the sum map ``summed`` into the biproduct ``bp``."""
 
     s_obj: Obj
     r: Mor
@@ -86,6 +88,8 @@ class PushoutData:
     t: Mor
     a: Mor
     b: Mor
+    bp: Biproduct
+    summed: Mor
 
 
 def pullback(c: Mor, d: Mor) -> PullbackData:
@@ -96,7 +100,7 @@ def pullback(c: Mor, d: Mor) -> PullbackData:
     diff = c @ bp.proj_p - d @ bp.proj_q
     kd = kernel(diff)
     n = kd.ker_mor
-    return PullbackData(kd.ker_obj, bp.proj_p @ n, bp.proj_q @ n, n, c, d)
+    return PullbackData(kd.ker_obj, bp.proj_p @ n, bp.proj_q @ n, n, c, d, bp, diff)
 
 
 def pullback_lift(pb: PullbackData, x: Mor, y: Mor) -> Mor:
@@ -113,8 +117,7 @@ def pullback_lift(pb: PullbackData, x: Mor, y: Mor) -> Mor:
         raise PreconditionError(
             f"pullback lift needs c @ x = d @ y, got residual {residual.mat}"
         )
-    bp = biproduct(pb.c.src, pb.d.src)
-    combined = bp.ins_i @ x + bp.ins_j @ y
+    combined = pb.bp.ins_i @ x + pb.bp.ins_j @ y
     return mono_lift(pb.n, combined)
 
 
@@ -126,7 +129,7 @@ def pushout(a: Mor, b: Mor) -> PushoutData:
     summed = bp.ins_i @ a + bp.ins_j @ b
     cd = cokernel(summed)
     t = cd.coker_mor
-    return PushoutData(cd.coker_obj, t @ bp.ins_i, -(t @ bp.ins_j), t, a, b)
+    return PushoutData(cd.coker_obj, t @ bp.ins_i, -(t @ bp.ins_j), t, a, b, bp, summed)
 
 
 def pushout_colift(po: PushoutData, x: Mor, y: Mor) -> Mor:
@@ -143,8 +146,7 @@ def pushout_colift(po: PushoutData, x: Mor, y: Mor) -> Mor:
         raise PreconditionError(
             f"pushout colift needs x @ a = y @ b, got residual {residual.mat}"
         )
-    bp = biproduct(po.a.dst, po.b.dst)
-    combined = x @ bp.proj_p - y @ bp.proj_q
+    combined = x @ po.bp.proj_p - y @ po.bp.proj_q
     return epi_colift(po.t, combined)
 
 
@@ -152,8 +154,8 @@ def same_subobject(m1: Mor, m2: Mor) -> bool:
     """Whether two monos into the same object have equal column spans."""
     if m1.dst != m2.dst:
         raise ShapeError(f"subobjects of different objects: {m1.dst} vs {m2.dst}")
-    return (solve_matrix(m1.mat, m2.mat) is not None
-            and solve_matrix(m2.mat, m1.mat) is not None)
+    return (solve(m1.mat, m2.mat) is not None
+            and solve(m2.mat, m1.mat) is not None)
 
 
 def is_exact_pair(f: Mor, g: Mor) -> bool:

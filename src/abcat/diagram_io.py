@@ -66,6 +66,11 @@ def _want(cond: bool, path: str, msg: str) -> None:
         raise DiagramFormatError(f"{path}: {msg}")
 
 
+def _named(value: object, names: dict) -> bool:
+    """Whether ``value`` is one of the names; JSON lists and objects never are."""
+    return isinstance(value, str) and value in names
+
+
 def _parse_field(node: object) -> ScalarField:
     _want(isinstance(node, dict), "field", "must be an object")
     kind = node.get("kind")
@@ -118,8 +123,8 @@ def parse_text(text: str) -> DiagramFile:
         _want(set(payload) == {"src", "dst", "matrix"},
               path, 'must have exactly "src", "dst", "matrix"')
         src, dst = payload["src"], payload["dst"]
-        _want(src in objects, f"{path}.src", f"unknown object {src!r}")
-        _want(dst in objects, f"{path}.dst", f"unknown object {dst!r}")
+        _want(_named(src, objects), f"{path}.src", f"unknown object {src!r}")
+        _want(_named(dst, objects), f"{path}.dst", f"unknown object {dst!r}")
         rows_node = payload["matrix"]
         nrows, ncols = objects[dst], objects[src]
         _want(isinstance(rows_node, list) and len(rows_node) == nrows,
@@ -143,7 +148,7 @@ def parse_text(text: str) -> DiagramFile:
     _want(set(diagram_node) == {"kind", "roles"},
           "diagram", 'must have exactly "kind" and "roles"')
     kind = diagram_node["kind"]
-    _want(kind in ROLES, "diagram.kind", f"must be one of {sorted(ROLES)}")
+    _want(_named(kind, ROLES), "diagram.kind", f"must be one of {sorted(ROLES)}")
     roles_node = diagram_node["roles"]
     _want(isinstance(roles_node, dict), "diagram.roles", "must be an object")
     expected = set(ROLES[kind])
@@ -151,7 +156,7 @@ def parse_text(text: str) -> DiagramFile:
           "diagram.roles", f"kind {kind!r} needs exactly roles {sorted(expected)}")
     roles: dict[str, str] = {}
     for role, mor_name in roles_node.items():
-        _want(mor_name in morphisms, f"diagram.roles.{role}",
+        _want(_named(mor_name, morphisms), f"diagram.roles.{role}",
               f"unknown morphism {mor_name!r}")
         roles[role] = mor_name
 

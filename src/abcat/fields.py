@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
-_RESIDUE_RE = re.compile(r"\d+\Z")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
+_RESIDUE_RE = re.compile(r"[0-9]+\Z")
 
 _MAX_PRIME = 2**31
 
@@ -134,9 +134,9 @@ class ScalarField:
     def parse(self, text: str) -> Scalar:
         """Parse one scalar literal.
 
-        Rationals accept an optional sign, digits, and an optional ``/digits``
-        denominator; the result is reduced.  Prime fields accept canonical
-        residues ``0`` through ``p - 1`` only.
+        Rationals accept an optional sign, ASCII digits, and an optional
+        ``/digits`` denominator; the result is reduced.  Prime fields accept
+        canonical residues ``0`` through ``p - 1`` only.
         """
         if self.p is None:
             if not _RATIONAL_RE.fullmatch(text):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import ShapeError
@@ -21,7 +22,8 @@ from .fields import GFElement, Scalar, ScalarField
 class Matrix:
     """An immutable ``rows x cols`` matrix with entries in one scalar field.
 
-    Entries are stored row-major in a flat tuple.
+    Entries are stored row-major in a flat tuple.  The echelon record is
+    computed on first use and kept with the matrix.
     """
 
     rows: int
@@ -106,6 +108,11 @@ class Matrix:
     @property
     def is_zero(self) -> bool:
         return not any(self.entries)
+
+    @cached_property
+    def echelon(self) -> tuple[Matrix, tuple[int, ...], int]:
+        """``rref(self)``: the reduced form, its pivot columns and the rank."""
+        return rref(self)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -251,7 +258,8 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
 
     Pivot choice is the first nonzero entry top to bottom, left to right, so
     the result is canonical for each matrix.  Over GF(p) the elimination runs
-    on plain integer residues and boxes the result once.
+    on plain integer residues and boxes the result once.  Each call reduces
+    afresh; ``Matrix.echelon`` keeps the result with its matrix.
     """
     p = m.field.p
     rows = m.row_list()
@@ -276,7 +284,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[2]
+    return m.echelon[2]
 
 
 def nullspace_basis(m: Matrix) -> Matrix:
@@ -285,7 +293,7 @@ def nullspace_basis(m: Matrix) -> Matrix:
     Each basis vector sets its free variable to one and every other free
     variable to zero; columns are ordered by increasing free column index.
     """
-    r, pivots, _ = rref(m)
+    r, pivots, _ = m.echelon
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     zero, one = m.field.zero(), m.field.one()
@@ -302,13 +310,12 @@ def nullspace_basis(m: Matrix) -> Matrix:
 
 def left_nullspace_basis(m: Matrix) -> Matrix:
     """Canonical basis of ``{y : y @ m = 0}``, stacked as rows in rref form."""
-    n = nullspace_basis(m.transpose())
-    reduced, _, _ = rref(n.transpose())
-    return reduced
+    return nullspace_basis(m.transpose()).transpose().echelon[0]
 
 
-def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
-    """Solve ``m @ x = b`` column by column; None if any column is inconsistent.
+def solve(m: Matrix, b: Matrix) -> Matrix | None:
+    """Solve ``m @ x = b`` for every column of ``b``; None if any column is
+    inconsistent.
 
     The particular solution sets every free variable to zero.
     """
@@ -317,20 +324,11 @@ def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
     aug, pivots, _ = rref(m.hstack(b))
     if any(p >= m.cols for p in pivots):
         return None
-    zero = m.field.zero()
-    out = [[zero] * b.cols for _ in range(m.cols)]
-    for i, pc in enumerate(pivots):
-        for j in range(b.cols):
-            out[pc][j] = aug.entry(i, m.cols + j)
-    ents = tuple(out[i][j] for i in range(m.cols) for j in range(b.cols))
+    n = aug.cols
+    rows = {pc: aug.entries[i * n + m.cols:(i + 1) * n] for i, pc in enumerate(pivots)}
+    zero_row = (m.field.zero(),) * b.cols
+    ents = tuple(x for c in range(m.cols) for x in rows.get(c, zero_row))
     return Matrix(m.cols, b.cols, ents, m.field)
-
-
-def solve(m: Matrix, b: Matrix) -> Matrix | None:
-    """Solve ``m @ x = b`` for a single column ``b``."""
-    if b.cols != 1:
-        raise ShapeError(f"right-hand side must be a column, got {b.rows}x{b.cols}")
-    return solve_matrix(m, b)
 
 
 def solve_with_column_order(m: Matrix, b: Matrix, order: Sequence[int]) -> Matrix | None:
@@ -341,14 +339,10 @@ def solve_with_column_order(m: Matrix, b: Matrix, order: Sequence[int]) -> Matri
     """
     if sorted(order) != list(range(m.cols)):
         raise ShapeError(f"order must permute range({m.cols})")
-    permuted = m.take_columns(order)
-    y = solve_matrix(permuted, b)
+    y = solve(m.take_columns(order), b)
     if y is None:
         return None
-    zero = m.field.zero()
-    out = [[zero] * b.cols for _ in range(m.cols)]
-    for pos, original in enumerate(order):
-        for j in range(b.cols):
-            out[original][j] = y.entry(pos, j)
-    ents = tuple(out[i][j] for i in range(m.cols) for j in range(b.cols))
+    # row k of y is the unknown order[k]
+    rows = {c: y.entries[k * b.cols:(k + 1) * b.cols] for k, c in enumerate(order)}
+    ents = tuple(x for c in range(m.cols) for x in rows[c])
     return Matrix(m.cols, b.cols, ents, m.field)

@@ -23,7 +23,6 @@ from .category import (
     kernel,
     kernel_lift,
     mono_lift,
-    zero_mor,
 )
 from .constructions import (
     Factorization,
@@ -52,7 +51,7 @@ from .diagrams import (
 )
 from .diagram_io import diagram_for_snake, serialize
 from .fields import RATIONALS, ScalarField, prime_field
-from .linalg import Matrix, nullspace_basis, rank, rref, solve_matrix
+from .linalg import Matrix, nullspace_basis, rank, rref, solve
 from .snake import (
     SnakeInput,
     chase_delta,
@@ -231,7 +230,7 @@ def _epi_horizontal_square(rng: SplitMix64, cfg: GenConfig) -> Square:
     dim_c = rand_dim(rng, cfg)
     bottom = rand_epi(rng, cfg, dim_c, rng.below(dim_c + 1))
     right = rand_mor(rng, cfg, top.dst.dim, bottom.dst.dim)
-    lmat = solve_matrix(bottom.mat, (right @ top).mat)
+    lmat = solve(bottom.mat, (right @ top).mat)
     left = Mor(top.src, bottom.src, lmat)
     return Square(top, left, right, bottom)
 
@@ -244,7 +243,7 @@ def _mono_horizontal_square_on(rng: SplitMix64, cfg: GenConfig, v: Mor) -> Squar
     """
     top = rand_mono(rng, cfg, v.src.dim, v.src.dim + rng.below(3))
     bottom = rand_mono(rng, cfg, v.dst.dim, v.dst.dim + rng.below(3))
-    rt = solve_matrix(top.mat.transpose(), ((bottom @ v).mat).transpose())
+    rt = solve(top.mat.transpose(), ((bottom @ v).mat).transpose())
     base = Mor(top.dst, bottom.dst, rt.transpose())
     ck = cokernel(top)
     wiggle = rand_mor(rng, cfg, ck.coker_obj.dim, bottom.dst.dim) @ ck.coker_mor
@@ -275,7 +274,7 @@ def check_linalg(cases: int, seed: int, field: ScalarField) -> SuiteResult:
         rec.check(rank(ns) == ns.cols, f"case {i}: nullspace basis dependent")
         x0 = rand_matrix(rng, cfg, m.cols, 1)
         b = m @ x0
-        x = solve_matrix(m, b)
+        x = solve(m, b)
         if rec.check(x is not None, f"case {i}: consistent system declared unsolvable"):
             rec.check(m @ x == b, f"case {i}: solve returned a non-solution")
     return rec.result()
@@ -294,7 +293,7 @@ def _alt_factorize(f: Mor) -> Factorization:
     mono_mat = f.mat.take_columns(kept)
     img = Obj(len(kept), f.field)
     mono = Mor(img, f.dst, mono_mat)
-    q = solve_matrix(mono_mat, f.mat)
+    q = solve(mono_mat, f.mat)
     return Factorization(Mor(f.src, img, q), mono)
 
 
@@ -722,7 +721,7 @@ def check_transport(cases: int, seed: int, field: ScalarField) -> SuiteResult:
         phi = mono_lift(ks.ker_mor, v @ a0)
         beta = rand_epi(rng, cfg, ks.ker_obj.dim + rng.below(3), ks.ker_obj.dim)
         b0 = ks.ker_mor @ beta
-        u0 = Mor(a0.src, beta.src, solve_matrix(beta.mat, phi.mat))
+        u0 = Mor(a0.src, beta.src, solve(beta.mat, phi.mat))
         ksq = Square(a0, u0, v, b0)
         rec.check(analyze(lsq).is_semicartesian, f"case {i}: fwd setup L not semi-cartesian")
         rec.check(is_exact_pair(a0, c0), f"case {i}: fwd setup top row not exact")
@@ -746,7 +745,7 @@ def check_transport(cases: int, seed: int, field: ScalarField) -> SuiteResult:
         qa = cokernel(a1)
         gamma = rand_mono(rng, cfg, qa.coker_obj.dim, qa.coker_obj.dim + rng.below(3))
         c1 = gamma @ qa.coker_mor
-        wt = solve_matrix(c1.mat.transpose(), ((d0 @ v1).mat).transpose())
+        wt = solve(c1.mat.transpose(), ((d0 @ v1).mat).transpose())
         if not rec.check(wt is not None, f"case {i}: dual setup right vertical missing"):
             continue
         w1 = Mor(c1.dst, d0.dst, wt.transpose())

@@ -104,8 +104,9 @@ class SnakeTrace:
 
 @dataclass(frozen=True)
 class SnakeOutput:
-    """Kernels, cokernels, the five induced maps, and the exactness report
-    for the four interior positions of the six-term sequence."""
+    """Kernels, cokernels, the five induced maps, the exactness report for
+    the four interior positions of the six-term sequence, and the trace of
+    the construction of ``delta``."""
 
     ker_u: KernelData
     ker_v: KernelData
@@ -119,6 +120,7 @@ class SnakeOutput:
     x: Mor
     y: Mor
     exact_report: tuple[bool, bool, bool, bool]
+    trace: SnakeTrace
 
 
 def violations(inp: SnakeInput) -> list[Violation]:
@@ -251,15 +253,17 @@ def _check_trace(delta: Mor, tr: SnakeTrace) -> None:
 
 
 def snake_sequence(inp: SnakeInput) -> SnakeOutput:
-    """Kernels, cokernels, induced maps, delta, and the exactness report."""
-    validate(inp)
+    """Kernels, cokernels, induced maps, delta, and the exactness report.
+
+    The input is validated once, by :func:`connecting_morphism`.
+    """
+    delta, trace = connecting_morphism(inp)
     ku, kv, kw = kernel(inp.u), kernel(inp.v), kernel(inp.w)
     cu, cv, cw = cokernel(inp.u), cokernel(inp.v), cokernel(inp.w)
     s = kernel_lift(kv, inp.a @ ku.ker_mor)
     t = kernel_lift(kw, inp.c @ kv.ker_mor)
     x = cokernel_colift(cu, cv.coker_mor @ inp.b)
     y = cokernel_colift(cv, cw.coker_mor @ inp.d)
-    delta, _ = connecting_morphism(inp)
     report = (
         is_exact_pair(s, t),
         is_exact_pair(t, delta),
@@ -269,7 +273,7 @@ def snake_sequence(inp: SnakeInput) -> SnakeOutput:
     return SnakeOutput(ker_u=ku, ker_v=kv, ker_w=kw,
                        coker_u=cu, coker_v=cv, coker_w=cw,
                        s=s, t=t, delta=delta, x=x, y=y,
-                       exact_report=report)
+                       exact_report=report, trace=trace)
 
 
 def chase_delta(inp: SnakeInput) -> Mor:
@@ -283,7 +287,6 @@ def chase_delta(inp: SnakeInput) -> Mor:
     validate(inp)
     k = kernel(inp.w).ker_mor
     p = cokernel(inp.u).coker_mor
-    field = inp.a.field
     cols: list[Matrix] = []
     reversed_order = list(reversed(range(inp.c.src.dim)))
     for j in range(k.src.dim):
@@ -303,7 +306,5 @@ def chase_delta(inp: SnakeInput) -> Mor:
                 cols.append(out)
             elif out != cols[-1]:
                 raise InternalCheckError("chase result depends on the lift choice")
-    out_mat = Matrix.zeros(field, p.mat.rows, 0)
-    for col in cols:
-        out_mat = out_mat.hstack(col)
-    return Mor(k.src, p.dst, out_mat)
+    out_mat = Matrix.from_rows(p.field, [c.entries for c in cols], cols=p.mat.rows)
+    return Mor(k.src, p.dst, out_mat.transpose())

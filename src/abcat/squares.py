@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .category import Mor, biproduct, cokernel, cokernel_colift, epi_colift, kernel, kernel_lift
+from .category import Mor, cokernel, cokernel_colift, epi_colift, kernel, kernel_lift
 from .constructions import (
     PullbackData,
     PushoutData,
@@ -91,10 +91,7 @@ def analyze(sq: Square) -> SquareAnalysis:
     cond_i = e.is_epi
     cond_ii = m.is_mono
     cond_iii = pb.n.is_mono and po.t.is_epi and is_exact_pair(pb.n, po.t)
-    bp = biproduct(sq.top.dst, sq.left.dst)
-    ins = bp.ins_i @ sq.top + bp.ins_j @ sq.left
-    diff = sq.right @ bp.proj_p - sq.bottom @ bp.proj_q
-    cond_iv = is_exact_pair(ins, diff)
+    cond_iv = is_exact_pair(po.summed, pb.diff)
 
     if not cond_i == cond_ii == cond_iii == cond_iv:
         raise InternalCheckError(

@@ -22,6 +22,7 @@ from abcat.category import (
 from abcat.diagrams import GenConfig, gen_morphism
 from abcat.errors import PreconditionError, ShapeError
 from abcat.fields import RATIONALS, prime_field
+from abcat import linalg
 from abcat.linalg import Matrix, rank
 
 Q = RATIONALS
@@ -246,3 +247,18 @@ def test_rank_nullity_bookkeeping_randomized():
         assert (cd.coker_mor @ f).is_zero
         assert kd.ker_mor.is_mono and cd.coker_mor.is_epi
         assert rank(kd.ker_mor.mat) == kd.ker_obj.dim
+
+
+def test_one_echelon_form_per_matrix(monkeypatch):
+    reductions = []
+    reduce_rows = linalg._rref_rows
+
+    def counting(*args):
+        reductions.append(args)
+        return reduce_rows(*args)
+
+    monkeypatch.setattr(linalg, "_rref_rows", counting)
+    f = Mor.from_matrix(Matrix.from_int_rows(Q, [[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
+    assert (f.rank, f.is_mono, f.is_epi, f.is_iso) == (2, False, False, False)
+    assert kernel(f).ker_obj.dim == 1
+    assert len(reductions) == 1

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from abcat import cli
+from abcat import cli, snake
 from abcat.category import Mor, Obj, zero_mor
 from abcat.cli import main
 from abcat.diagram_io import (
@@ -229,6 +229,32 @@ def test_snake_invalid_ladder_reports_violations(run, tmp_path):
 def test_snake_wrong_kind(run):
     code, out, err = run("snake", str(GOLDEN / "pair_q_seed1.json"))
     assert code == 2 and "expected a snake diagram" in err
+
+
+def test_snake_builds_delta_once_and_validates_twice(run, monkeypatch):
+    # one validation inside snake_sequence, one inside the chase oracle
+    calls = {"pullback": 0, "violations": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(snake, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(snake, name, counting)
+    code, out, _ = run("snake", str(GOLDEN / "worked_snake.json"), "--trace", "--oracle")
+    assert code == 0
+    assert out == (GOLDEN / "worked_snake_report.txt").read_text(encoding="utf-8")
+    assert calls["pullback"] == 1 and calls["violations"] <= 2
+
+
+@pytest.mark.parametrize("field, cell", [({"kind": "Q"}, "３/٢"),
+                                         ({"kind": "GFp", "p": 7}, "٥")], ids=["Q", "GF7"])
+def test_non_ascii_digits_are_input_errors(run, tmp_path, field, cell):
+    doc = {"field": field, "objects": {"A": 1},
+           "morphisms": {"f": {"src": "A", "dst": "A", "matrix": [[cell]]}},
+           "diagram": {"kind": "morphism", "roles": {"f": "f"}}}
+    path = _write(tmp_path, "m.json", json.dumps(doc, ensure_ascii=False))
+    code, out, err = run("factor", path, "--morphism", "f")
+    assert code == 2 and out == ""
+    assert err.startswith("error: morphisms.f.matrix[0][0]: ")
 
 
 # -- gen ----------------------------------------------------------------------------

@@ -104,3 +104,12 @@ def test_rational_parse_total_on_canonical(n, d):
 def test_gf_addition_is_modular(a, b):
     p = 101
     assert GFElement(a, p) + GFElement(b, p) == GFElement((a + b) % p, p)
+
+
+def test_parse_accepts_ascii_digits_only():
+    for bad in ["３/٢", "٣", "-２", "1/٢"]:
+        with pytest.raises(ValueError):
+            RATIONALS.parse(bad)
+    for bad in ["٥", "５"]:
+        with pytest.raises(ValueError):
+            prime_field(7).parse(bad)

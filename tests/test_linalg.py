@@ -24,7 +24,6 @@ from abcat.linalg import (
     rank,
     rref,
     solve,
-    solve_matrix,
     solve_with_column_order,
 )
 
@@ -151,10 +150,10 @@ def test_solve_inconsistent_returns_none():
     assert solve(qmat([[1, 2], [2, 4]]), qmat([[1], [1]], cols=1)) is None
 
 
-def test_solve_matrix_multiple_columns():
+def test_solve_multiple_columns():
     m = qmat([[1, 0], [0, 1], [1, 1]])
     b = m @ qmat([[3, -1], [2, 5]])
-    x = solve_matrix(m, b)
+    x = solve(m, b)
     assert x is not None and m @ x == b
 
 
@@ -165,9 +164,9 @@ def test_solve_with_column_order_prefers_listed_columns():
     assert solve_with_column_order(m, b, (1, 0)) == qmat([[0], [2]])
 
 
-def test_solve_rejects_wide_rhs():
+def test_solve_rejects_row_mismatch():
     with pytest.raises(ShapeError):
-        solve(qmat([[1]]), qmat([[1, 2]]))
+        solve(qmat([[1, 2]]), qmat([[1], [2]], cols=1))
 
 
 # -- independent oracles -----------------------------------------------------

@@ -10,7 +10,8 @@ asymmetry so nobody "simplifies" the hypothesis later.
 import pytest
 
 from abcat.category import Mor, Obj, identity, zero_mor
-from abcat.constructions import pullback, pushout
+from abcat.constructions import is_cokernel_of, is_kernel_of, pullback, pushout
+from abcat.diagrams import GenConfig, gen_semicartesian
 from abcat.errors import PreconditionError, ShapeError
 from abcat.fields import RATIONALS, prime_field
 from abcat.linalg import Matrix
@@ -238,3 +239,16 @@ def test_kernel_square_over_gf3():
     ksq = kernel_square(sq)
     assert ksq.top.mat == Matrix.from_int_rows(GF3, [[1], [1]])
     assert analyze(ksq).is_cartesian  # right vertical i1 is mono
+
+
+@pytest.mark.parametrize("field", [Q, GF3])
+def test_corners_keep_the_maps_they_are_kernel_and_cokernel_of(field):
+    for seed in range(10):
+        for variant in ("epi", "cartesian", "deficient"):
+            sq = gen_semicartesian(GenConfig(seed=seed, field=field, max_dim=4), variant)
+            res = analyze(sq)
+            pb, po = res.pb, res.po
+            assert pb.diff == sq.right @ pb.bp.proj_p - sq.bottom @ pb.bp.proj_q
+            assert po.summed == po.bp.ins_i @ sq.top + po.bp.ins_j @ sq.left
+            assert is_kernel_of(pb.n, pb.diff)
+            assert is_cokernel_of(po.t, po.summed)
