@@ -267,6 +267,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    if args.cases < 1:
+        raise ValueError(f"--cases must be at least 1, got {args.cases}")
     fields = tuple(args.field) if args.field else (RATIONALS, prime_field(7))
     results = run_selftest(cases=args.cases, seed=args.seed, fields=fields)
     good = 0

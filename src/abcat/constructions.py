@@ -5,12 +5,14 @@ Conventions fixed here and used everywhere downstream:
 * the mono part of a factorization consists of the pivot columns of the
   original matrix (not of its echelon form), so the image embeds via actual
   columns of the map;
-* a pullback of ``(c, d)`` is the kernel of ``c @ p - d @ q`` on the
-  biproduct of their sources;
-* a pushout of ``(a, b)`` is the cokernel of ``i @ a + j @ b`` into the
-  biproduct of their targets, with legs ``r = t @ i`` and ``s = -(t @ j)``;
-  the sign makes ``r @ a = s @ b`` hold exactly, and every later sign
-  (including the connecting morphism's) inherits from this choice.
+* a pullback of ``(c, d)`` is the kernel ``n`` of ``[c | -d]`` on the
+  biproduct of their sources, with legs ``f, g`` the row blocks of ``n``;
+* a pushout of ``(a, b)`` is the cokernel ``t`` of ``[a; b]`` into the
+  biproduct of their targets, with legs ``r = t @ i`` and ``s = -(t @ j)``,
+  the column blocks of ``t`` with the second negated; the sign makes
+  ``r @ a = s @ b`` hold exactly, and every later sign (including the
+  connecting morphism's) inherits from this choice.  Blocks are sliced and
+  stacked, never multiplied by the biproduct's 0/1 insertions and projections.
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import (
-    Biproduct,
     Mor,
     Obj,
-    biproduct,
     cokernel,
     cokernel_colift,
     epi_colift,
@@ -30,7 +30,7 @@ from .category import (
     mono_lift,
 )
 from .errors import InternalCheckError, PreconditionError, ShapeError
-from .linalg import Matrix, solve
+from .linalg import solve
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ def epi_mono_factorize(f: Mor) -> Factorization:
     reduced, pivots, rnk = f.mat.echelon
     img = Obj(rnk, f.field)
     mono = Mor(img, f.dst, f.mat.take_columns(pivots))
-    q_mat = Matrix(rnk, f.src.dim, reduced.entries[:rnk * f.src.dim], f.field)
-    return Factorization(Mor(f.src, img, q_mat), mono)
+    return Factorization(Mor(f.src, img, reduced.split_rows(rnk)[0]), mono)
 
 
 def image(f: Mor) -> tuple[Obj, Mor]:
@@ -65,7 +64,7 @@ def image(f: Mor) -> tuple[Obj, Mor]:
 @dataclass(frozen=True)
 class PullbackData:
     """A fiber product of ``(c, d)``: legs ``f, g`` and the kernel embedding
-    ``n`` of the difference map ``diff`` on the biproduct ``bp``."""
+    ``n`` of the difference map ``diff = [c | -d]``."""
 
     p_obj: Obj
     f: Mor
@@ -73,14 +72,13 @@ class PullbackData:
     n: Mor
     c: Mor
     d: Mor
-    bp: Biproduct
     diff: Mor
 
 
 @dataclass(frozen=True)
 class PushoutData:
     """An amalgamated sum of ``(a, b)``: legs ``r, s`` and the cokernel
-    projection ``t`` of the sum map ``summed`` into the biproduct ``bp``."""
+    projection ``t`` of the sum map ``summed = [a; b]``."""
 
     s_obj: Obj
     r: Mor
@@ -88,7 +86,6 @@ class PushoutData:
     t: Mor
     a: Mor
     b: Mor
-    bp: Biproduct
     summed: Mor
 
 
@@ -96,11 +93,11 @@ def pullback(c: Mor, d: Mor) -> PullbackData:
     """The fiber product of two maps with a common target."""
     if c.dst != d.dst:
         raise ShapeError(f"pullback needs a common target: {c.dst} vs {d.dst}")
-    bp = biproduct(c.src, d.src)
-    diff = c @ bp.proj_p - d @ bp.proj_q
+    diff = Mor(Obj(c.src.dim + d.src.dim, c.field), c.dst, c.mat.hstack(-d.mat))
     kd = kernel(diff)
-    n = kd.ker_mor
-    return PullbackData(kd.ker_obj, bp.proj_p @ n, bp.proj_q @ n, n, c, d, bp, diff)
+    f_mat, g_mat = kd.ker_mor.mat.split_rows(c.src.dim)
+    p = kd.ker_obj
+    return PullbackData(p, Mor(p, c.src, f_mat), Mor(p, d.src, g_mat), kd.ker_mor, c, d, diff)
 
 
 def pullback_lift(pb: PullbackData, x: Mor, y: Mor) -> Mor:
@@ -117,19 +114,19 @@ def pullback_lift(pb: PullbackData, x: Mor, y: Mor) -> Mor:
         raise PreconditionError(
             f"pullback lift needs c @ x = d @ y, got residual {residual.mat}"
         )
-    combined = pb.bp.ins_i @ x + pb.bp.ins_j @ y
-    return mono_lift(pb.n, combined)
+    return mono_lift(pb.n, Mor(x.src, pb.diff.src, x.mat.vstack(y.mat)))
 
 
 def pushout(a: Mor, b: Mor) -> PushoutData:
     """The amalgamated sum of two maps with a common source."""
     if a.src != b.src:
         raise ShapeError(f"pushout needs a common source: {a.src} vs {b.src}")
-    bp = biproduct(a.dst, b.dst)
-    summed = bp.ins_i @ a + bp.ins_j @ b
+    summed = Mor(a.src, Obj(a.dst.dim + b.dst.dim, a.field), a.mat.vstack(b.mat))
     cd = cokernel(summed)
-    t = cd.coker_mor
-    return PushoutData(cd.coker_obj, t @ bp.ins_i, -(t @ bp.ins_j), t, a, b, bp, summed)
+    r_mat, s_mat = cd.coker_mor.mat.split_cols(a.dst.dim)
+    q = cd.coker_obj
+    return PushoutData(q, Mor(a.dst, q, r_mat), Mor(b.dst, q, -s_mat), cd.coker_mor,
+                       a, b, summed)
 
 
 def pushout_colift(po: PushoutData, x: Mor, y: Mor) -> Mor:
@@ -146,8 +143,7 @@ def pushout_colift(po: PushoutData, x: Mor, y: Mor) -> Mor:
         raise PreconditionError(
             f"pushout colift needs x @ a = y @ b, got residual {residual.mat}"
         )
-    combined = x @ po.bp.proj_p - y @ po.bp.proj_q
-    return epi_colift(po.t, combined)
+    return epi_colift(po.t, Mor(po.summed.dst, x.dst, x.mat.hstack(-y.mat)))
 
 
 def same_subobject(m1: Mor, m2: Mor) -> bool:

@@ -51,9 +51,6 @@ class DiagramFile:
     roles: dict[str, str]
     meta: dict | None = None
 
-    def obj(self, name: str) -> Obj:
-        return Obj(self.objects[name], self.field)
-
     def mor(self, name: str) -> Mor:
         return self.morphisms[name][2]
 

@@ -113,10 +113,6 @@ class ScalarField:
     def is_rationals(self) -> bool:
         return self.p is None
 
-    @property
-    def kind(self) -> str:
-        return "Rationals" if self.p is None else "PrimeField"
-
     def zero(self) -> Scalar:
         return Fraction(0) if self.p is None else GFElement(0, self.p)
 

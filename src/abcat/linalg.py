@@ -194,6 +194,16 @@ class Matrix:
         return Matrix(self.rows + other.rows, self.cols,
                       self.entries + other.entries, self.field)
 
+    def split_rows(self, k: int) -> tuple[Matrix, Matrix]:
+        """The first ``k`` rows and the rest: ``vstack`` undone."""
+        cut = k * self.cols
+        return (Matrix(k, self.cols, self.entries[:cut], self.field),
+                Matrix(self.rows - k, self.cols, self.entries[cut:], self.field))
+
+    def split_cols(self, k: int) -> tuple[Matrix, Matrix]:
+        """The first ``k`` columns and the rest: ``hstack`` undone."""
+        return self.take_columns(range(k)), self.take_columns(range(k, self.cols))
+
     def __str__(self) -> str:
         rows = ["[" + ", ".join(self.field.format(self.entry(i, j))
                                 for j in range(self.cols)) + "]"

@@ -18,12 +18,14 @@ left vertical.
   iv.  the pair (insertion sum, projection difference) through the corner
        biproduct is exact in the middle.
 
-The four answers are cross-asserted on every call; disagreement is a bug.
+The four answers are cross-asserted once per square, whose analysis is kept
+with it (``Square.analysis``); disagreement is a bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .category import Mor, cokernel, cokernel_colift, epi_colift, kernel, kernel_lift
 from .constructions import (
@@ -63,6 +65,26 @@ class Square:
                 f"square does not commute, residual {residual.mat}"
             )
 
+    @cached_property
+    def analysis(self) -> SquareAnalysis:
+        """Compute both comparison maps and all four semi-cartesian conditions."""
+        pb = pullback(self.right, self.bottom)
+        po = pushout(self.top, self.left)
+        e = pullback_lift(pb, self.top, self.left)
+        m = pushout_colift(po, self.right, self.bottom)
+        cond_i = e.is_epi
+        cond_ii = m.is_mono
+        cond_iii = pb.n.is_mono and po.t.is_epi and is_exact_pair(pb.n, po.t)
+        cond_iv = is_exact_pair(po.summed, pb.diff)
+
+        if not cond_i == cond_ii == cond_iii == cond_iv:
+            raise InternalCheckError(
+                f"equivalent conditions disagree: {cond_i}, {cond_ii}, {cond_iii}, {cond_iv}"
+            )
+        return SquareAnalysis(e, m, pb, po, cond_i, cond_ii, cond_iii, cond_iv,
+                              is_cartesian=e.is_iso, is_cocartesian=m.is_iso,
+                              is_semicartesian=cond_i)
+
 
 @dataclass(frozen=True)
 class SquareAnalysis:
@@ -82,34 +104,9 @@ class SquareAnalysis:
 
 
 def analyze(sq: Square) -> SquareAnalysis:
-    """Compute both comparison maps and all four semi-cartesian conditions."""
-    pb = pullback(sq.right, sq.bottom)
-    po = pushout(sq.top, sq.left)
-    e = pullback_lift(pb, sq.top, sq.left)
-    m = pushout_colift(po, sq.right, sq.bottom)
-
-    cond_i = e.is_epi
-    cond_ii = m.is_mono
-    cond_iii = pb.n.is_mono and po.t.is_epi and is_exact_pair(pb.n, po.t)
-    cond_iv = is_exact_pair(po.summed, pb.diff)
-
-    if not cond_i == cond_ii == cond_iii == cond_iv:
-        raise InternalCheckError(
-            f"equivalent conditions disagree: {cond_i}, {cond_ii}, {cond_iii}, {cond_iv}"
-        )
-    return SquareAnalysis(
-        e=e,
-        m=m,
-        pb=pb,
-        po=po,
-        cond_i=cond_i,
-        cond_ii=cond_ii,
-        cond_iii=cond_iii,
-        cond_iv=cond_iv,
-        is_cartesian=e.is_iso,
-        is_cocartesian=m.is_iso,
-        is_semicartesian=cond_i,
-    )
+    """Both comparison maps and all four semi-cartesian conditions of ``sq``:
+    its ``analysis``, computed on first use and kept with the square."""
+    return sq.analysis
 
 
 def compose_h(k: Square, m: Square) -> Square:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from abcat import cli, snake
+from abcat import cli, snake, squares
 from abcat.category import Mor, Obj, zero_mor
 from abcat.cli import main
 from abcat.diagram_io import (
@@ -245,6 +245,19 @@ def test_snake_builds_delta_once_and_validates_twice(run, monkeypatch):
     assert calls["pullback"] == 1 and calls["violations"] <= 2
 
 
+def test_square_decompose_analyses_once(run, monkeypatch):
+    calls = []
+    pullback = squares.pullback
+
+    def counting(c, d):
+        calls.append(1)
+        return pullback(c, d)
+    monkeypatch.setattr(squares, "pullback", counting)
+    code, out, _ = run("square", str(GOLDEN / "square_gf7_seed1.json"), "--decompose")
+    assert code == 0 and "decomposition_recomposes: yes" in out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("field, cell", [({"kind": "Q"}, "３/٢"),
                                          ({"kind": "GFp", "p": 7}, "٥")], ids=["Q", "GF7"])
 def test_non_ascii_digits_are_input_errors(run, tmp_path, field, cell):
@@ -307,6 +320,19 @@ def test_gen_rejects_bad_max_dim(run):
     assert code == 2 and "error:" in err
 
 
+def test_readme_session_replays_byte_for_byte(run, tmp_path):
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    gen_cmd = "$ abcat gen --kind snake --seed 5 --field gf:7 > ladder.json\n"
+    snake_cmd = "$ abcat snake ladder.json --oracle\n"
+    start = readme.index(gen_cmd + snake_cmd) + len(gen_cmd + snake_cmd)
+    expected = readme[start:readme.index("```", start)]
+    code, ladder, _ = run("gen", "--kind", "snake", "--seed", "5", "--field", "gf:7")
+    assert code == 0
+    code, out, err = run("snake", _write(tmp_path, "ladder.json", ladder), "--oracle")
+    assert code == 0 and err == ""
+    assert out == expected
+
+
 # -- selftest -------------------------------------------------------------------------
 
 
@@ -319,6 +345,13 @@ def test_selftest_small_run_passes_and_is_deterministic(run):
     lines = out1.strip().splitlines()
     assert lines[-1].startswith("selftest: ") and lines[-1].endswith(" suites ok")
     assert all(": ok " in line or line.startswith("selftest:") for line in lines)
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_selftest_rejects_case_counts_below_one(run, cases):
+    code, out, err = run("selftest", "--cases", cases, "--field", "q")
+    assert code == 2 and out == ""
+    assert err == f"error: --cases must be at least 1, got {cases}\n"
 
 
 def test_selftest_repeatable_field_flag(run):

@@ -185,6 +185,22 @@ def test_pullback_pushout_gf7_smoke():
     assert po.r @ po.a == po.s @ po.b
 
 
+def test_corners_are_sliced_not_multiplied(monkeypatch):
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counting(a, b):
+        calls.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+    c, d = qmor([[1, 2], [0, 1]]), qmor([[1], [1]])
+    a, b = qmor([[1, -1]]), qmor([[2, 0], [1, 3]])
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    pb = pullback(c, d)
+    po = pushout(a, b)
+    assert calls == []
+    assert pb.p_obj.dim == 1 and po.s_obj.dim == 1
+
+
 # -- subobject identity and exactness -----------------------------------------
 
 

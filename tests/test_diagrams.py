@@ -17,6 +17,7 @@ from abcat.diagrams import (
 from abcat.errors import GenerationError
 from abcat.fields import RATIONALS, prime_field
 from abcat.linalg import rank
+from abcat.properties import check_generator_coverage
 from abcat.snake import violations
 from abcat.squares import analyze
 
@@ -151,6 +152,13 @@ def test_gen_snake_input_always_validates(field, short):
         assert violations(inp) == []
         if short:
             assert inp.a.is_mono and inp.d.is_epi
+
+
+@pytest.mark.parametrize("field", [Q, GF7])
+def test_snake_generator_covers_both_delta_regimes(field):
+    # at least 10% of ladders each with zero and with nonzero delta
+    res = check_generator_coverage(samples=100, seed=1, field=field)
+    assert res.ok, res.failures
 
 
 def test_variant_streams_do_not_collide():

@@ -79,6 +79,16 @@ def test_hstack_vstack_shape_errors():
         qmat([[1]]).vstack(qmat([[1, 2]]))
 
 
+def test_splits_undo_stacking_including_empty_blocks():
+    m = qmat([[1, 2, 3], [4, 5, 6]])
+    for k in range(3):
+        top, bottom = m.split_rows(k)
+        assert (top.rows, bottom.rows) == (k, 2 - k) and top.vstack(bottom) == m
+    for k in range(4):
+        left, right = m.split_cols(k)
+        assert (left.cols, right.cols) == (k, 3 - k) and left.hstack(right) == m
+
+
 # -- hand-pinned eliminations ----------------------------------------------
 
 

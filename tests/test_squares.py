@@ -9,7 +9,7 @@ asymmetry so nobody "simplifies" the hypothesis later.
 
 import pytest
 
-from abcat.category import Mor, Obj, identity, zero_mor
+from abcat.category import Mor, Obj, biproduct, identity, zero_mor
 from abcat.constructions import is_cokernel_of, is_kernel_of, pullback, pushout
 from abcat.diagrams import GenConfig, gen_semicartesian
 from abcat.errors import PreconditionError, ShapeError
@@ -248,7 +248,18 @@ def test_corners_keep_the_maps_they_are_kernel_and_cokernel_of(field):
             sq = gen_semicartesian(GenConfig(seed=seed, field=field, max_dim=4), variant)
             res = analyze(sq)
             pb, po = res.pb, res.po
-            assert pb.diff == sq.right @ pb.bp.proj_p - sq.bottom @ pb.bp.proj_q
-            assert po.summed == po.bp.ins_i @ sq.top + po.bp.ins_j @ sq.left
+            src = biproduct(sq.right.src, sq.bottom.src)
+            assert pb.diff == sq.right @ src.proj_p - sq.bottom @ src.proj_q
+            assert pb.f == src.proj_p @ pb.n and pb.g == src.proj_q @ pb.n
+            dst = biproduct(sq.top.dst, sq.left.dst)
+            assert po.summed == dst.ins_i @ sq.top + dst.ins_j @ sq.left
+            assert po.r == po.t @ dst.ins_i and po.s == -(po.t @ dst.ins_j)
             assert is_kernel_of(pb.n, pb.diff)
             assert is_cokernel_of(po.t, po.summed)
+
+
+def test_each_square_keeps_its_analysis():
+    sq = gen_semicartesian(GenConfig(seed=3, field=GF3, max_dim=4), "epi")
+    res = analyze(sq)
+    assert analyze(sq) is res is sq.analysis
+    assert sq == Square(sq.top, sq.left, sq.right, sq.bottom)  # the cache is no field
