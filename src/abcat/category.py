@@ -10,6 +10,7 @@ projections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PreconditionError, ShapeError
 from .fields import ScalarField
@@ -37,31 +38,27 @@ class Obj:
 
 @dataclass(frozen=True)
 class Mor:
-    """A morphism ``src -> dst`` backed by a ``dim(dst) x dim(src)`` matrix."""
+    """A morphism ``src -> dst``: a ``dim(dst) x dim(src)`` matrix, whose
+    shape and field fix both objects."""
 
-    src: Obj
-    dst: Obj
     mat: Matrix
-
-    def __post_init__(self) -> None:
-        if self.src.field != self.dst.field or self.src.field != self.mat.field:
-            raise ShapeError(
-                f"field mismatch: {self.src.field}, {self.dst.field}, {self.mat.field}"
-            )
-        if self.mat.rows != self.dst.dim or self.mat.cols != self.src.dim:
-            raise ShapeError(
-                f"matrix {self.mat.rows}x{self.mat.cols} does not map "
-                f"{self.src} to {self.dst}"
-            )
 
     @classmethod
     def from_matrix(cls, mat: Matrix) -> Mor:
-        """Wrap a matrix, deriving source and target from its shape."""
-        return cls(Obj(mat.cols, mat.field), Obj(mat.rows, mat.field), mat)
+        """Wrap a matrix; the same as ``Mor(mat)``."""
+        return cls(mat)
+
+    @cached_property
+    def src(self) -> Obj:
+        return Obj(self.mat.cols, self.mat.field)
+
+    @cached_property
+    def dst(self) -> Obj:
+        return Obj(self.mat.rows, self.mat.field)
 
     @property
     def field(self) -> ScalarField:
-        return self.src.field
+        return self.mat.field
 
     @property
     def rank(self) -> int:
@@ -69,15 +66,15 @@ class Mor:
 
     @property
     def is_mono(self) -> bool:
-        return self.rank == self.src.dim
+        return self.rank == self.mat.cols
 
     @property
     def is_epi(self) -> bool:
-        return self.rank == self.dst.dim
+        return self.rank == self.mat.rows
 
     @property
     def is_iso(self) -> bool:
-        return self.src.dim == self.dst.dim and self.rank == self.src.dim
+        return self.mat.rows == self.mat.cols == self.rank
 
     @property
     def is_zero(self) -> bool:
@@ -90,14 +87,14 @@ class Mor:
 
     def __add__(self, other: Mor) -> Mor:
         self._parallel(other)
-        return Mor(self.src, self.dst, self.mat + other.mat)
+        return Mor(self.mat + other.mat)
 
     def __sub__(self, other: Mor) -> Mor:
         self._parallel(other)
-        return Mor(self.src, self.dst, self.mat - other.mat)
+        return Mor(self.mat - other.mat)
 
     def __neg__(self) -> Mor:
-        return Mor(self.src, self.dst, -self.mat)
+        return Mor(-self.mat)
 
     def _parallel(self, other: Mor) -> None:
         if not isinstance(other, Mor):
@@ -116,35 +113,41 @@ def compose(g: Mor, f: Mor) -> Mor:
     """The composite ``g after f``."""
     if f.dst != g.src:
         raise ShapeError(f"cannot compose: {f.src}->{f.dst} then {g.src}->{g.dst}")
-    return Mor(f.src, g.dst, g.mat @ f.mat)
+    return Mor(g.mat @ f.mat)
 
 
 def identity(x: Obj) -> Mor:
-    return Mor(x, x, Matrix.identity(x.field, x.dim))
+    return Mor(Matrix.identity(x.field, x.dim))
 
 
 def zero_mor(src: Obj, dst: Obj) -> Mor:
     if src.field != dst.field:
         raise ShapeError(f"field mismatch: {src.field} vs {dst.field}")
-    return Mor(src, dst, Matrix.zeros(src.field, dst.dim, src.dim))
+    return Mor(Matrix.zeros(src.field, dst.dim, src.dim))
 
 
 @dataclass(frozen=True)
 class KernelData:
     """A kernel: the embedded subobject on which ``of`` vanishes."""
 
-    ker_obj: Obj
     ker_mor: Mor
     of: Mor
+
+    @property
+    def ker_obj(self) -> Obj:
+        return self.ker_mor.src
 
 
 @dataclass(frozen=True)
 class CokernelData:
     """A cokernel: the canonical quotient of the target of ``of``."""
 
-    coker_obj: Obj
     coker_mor: Mor
     of: Mor
+
+    @property
+    def coker_obj(self) -> Obj:
+        return self.coker_mor.dst
 
 
 @dataclass(frozen=True)
@@ -152,25 +155,24 @@ class Biproduct:
     """A direct sum with insertions ``ins_i, ins_j`` and projections
     ``proj_p, proj_q`` satisfying the five structure identities."""
 
-    sum_obj: Obj
     ins_i: Mor
     ins_j: Mor
     proj_p: Mor
     proj_q: Mor
 
+    @property
+    def sum_obj(self) -> Obj:
+        return self.ins_i.dst
+
 
 def kernel(f: Mor) -> KernelData:
     """The canonical kernel of ``f``, with its mono into the source."""
-    basis = nullspace_basis(f.mat)
-    ker_obj = Obj(basis.cols, f.field)
-    return KernelData(ker_obj, Mor(ker_obj, f.src, basis), f)
+    return KernelData(Mor(nullspace_basis(f.mat)), f)
 
 
 def cokernel(f: Mor) -> CokernelData:
     """The canonical cokernel of ``f``, with its epi out of the target."""
-    basis = left_nullspace_basis(f.mat)
-    coker_obj = Obj(basis.rows, f.field)
-    return CokernelData(coker_obj, Mor(f.dst, coker_obj, basis), f)
+    return CokernelData(Mor(left_nullspace_basis(f.mat)), f)
 
 
 def mono_lift(m: Mor, t: Mor) -> Mor:
@@ -187,7 +189,7 @@ def mono_lift(m: Mor, t: Mor) -> Mor:
         raise PreconditionError(
             f"no lift: image of {t} is not contained in image of {m}"
         )
-    return Mor(t.src, m.src, sol)
+    return Mor(sol)
 
 
 def epi_colift(e: Mor, t: Mor) -> Mor:
@@ -207,7 +209,7 @@ def epi_colift(e: Mor, t: Mor) -> Mor:
     sol = solve(e.mat.transpose(), t.mat.transpose())
     if sol is None:
         raise PreconditionError(f"no colift of {t} through {e}")
-    return Mor(e.dst, t.dst, sol.transpose())
+    return Mor(sol.transpose())
 
 
 def kernel_lift(kd: KernelData, t: Mor) -> Mor:
@@ -237,13 +239,9 @@ def biproduct(a: Obj, b: Obj) -> Biproduct:
     if a.field != b.field:
         raise ShapeError(f"field mismatch: {a.field} vs {b.field}")
     field = a.field
-    total = Obj(a.dim + b.dim, field)
     ia = Matrix.identity(field, a.dim)
     ib = Matrix.identity(field, b.dim)
     za = Matrix.zeros(field, b.dim, a.dim)
     zb = Matrix.zeros(field, a.dim, b.dim)
-    ins_i = Mor(a, total, ia.vstack(za))
-    ins_j = Mor(b, total, zb.vstack(ib))
-    proj_p = Mor(total, a, ia.hstack(zb))
-    proj_q = Mor(total, b, za.hstack(ib))
-    return Biproduct(total, ins_i, ins_j, proj_p, proj_q)
+    return Biproduct(Mor(ia.vstack(za)), Mor(zb.vstack(ib)),
+                     Mor(ia.hstack(zb)), Mor(za.hstack(ib)))

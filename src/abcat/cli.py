@@ -21,6 +21,7 @@ from .constructions import (
     pushout,
 )
 from .diagram_io import (
+    MAX_DIM,
     DiagramFile,
     Report,
     diagram_for_pair,
@@ -42,7 +43,7 @@ from .errors import (
 from .fields import RATIONALS, ScalarField, prime_field
 from .properties import run_selftest
 from .snake import SnakeInputError, chase_delta, snake_sequence
-from .squares import analyze, compose_h, decompose_semicartesian
+from .squares import analyze, decompose_semicartesian
 
 
 def _field_arg(text: str) -> ScalarField:
@@ -177,7 +178,8 @@ def cmd_square(args: argparse.Namespace) -> int:
     if args.decompose:
         if res.is_semicartesian:
             first, second = decompose_semicartesian(sq)
-            report.verdicts["decomposition_recomposes"] = compose_h(first, second) == sq
+            # decompose_semicartesian has checked that the halves recompose to sq
+            report.verdicts["decomposition_recomposes"] = True
             report.ranks["middle_top_dim"] = first.right.src.dim
             report.ranks["middle_bottom_dim"] = first.right.dst.dim
             report.derived["first_top"] = str(first.top.mat)
@@ -252,6 +254,11 @@ def cmd_snake(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    # a generated square's corner reaches 2 * max_dim + 2 (a pullback apex
+    # and up to two more), so this keeps every generated file readable
+    top = (MAX_DIM - 2) // 2
+    if args.max_dim > top:
+        raise ValueError(f"--max-dim must be at most {top}, got {args.max_dim}")
     cfg = GenConfig(seed=args.seed, field=args.field, max_dim=args.max_dim)
     meta = {"generator": "splitmix64", "seed": args.seed,
             "kind": args.kind, "max_dim": args.max_dim}

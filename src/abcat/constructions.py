@@ -23,7 +23,6 @@ from .category import (
     Mor,
     Obj,
     cokernel,
-    cokernel_colift,
     epi_colift,
     kernel,
     kernel_lift,
@@ -50,9 +49,8 @@ def epi_mono_factorize(f: Mor) -> Factorization:
     because the pivot columns are independent.
     """
     reduced, pivots, rnk = f.mat.echelon
-    img = Obj(rnk, f.field)
-    mono = Mor(img, f.dst, f.mat.take_columns(pivots))
-    return Factorization(Mor(f.src, img, reduced.split_rows(rnk)[0]), mono)
+    return Factorization(Mor(reduced.split_rows(rnk)[0]),
+                         Mor(f.mat.take_columns(pivots)))
 
 
 def image(f: Mor) -> tuple[Obj, Mor]:
@@ -66,7 +64,6 @@ class PullbackData:
     """A fiber product of ``(c, d)``: legs ``f, g`` and the kernel embedding
     ``n`` of the difference map ``diff = [c | -d]``."""
 
-    p_obj: Obj
     f: Mor
     g: Mor
     n: Mor
@@ -74,13 +71,16 @@ class PullbackData:
     d: Mor
     diff: Mor
 
+    @property
+    def p_obj(self) -> Obj:
+        return self.n.src
+
 
 @dataclass(frozen=True)
 class PushoutData:
     """An amalgamated sum of ``(a, b)``: legs ``r, s`` and the cokernel
     projection ``t`` of the sum map ``summed = [a; b]``."""
 
-    s_obj: Obj
     r: Mor
     s: Mor
     t: Mor
@@ -88,16 +88,19 @@ class PushoutData:
     b: Mor
     summed: Mor
 
+    @property
+    def s_obj(self) -> Obj:
+        return self.t.dst
+
 
 def pullback(c: Mor, d: Mor) -> PullbackData:
     """The fiber product of two maps with a common target."""
     if c.dst != d.dst:
         raise ShapeError(f"pullback needs a common target: {c.dst} vs {d.dst}")
-    diff = Mor(Obj(c.src.dim + d.src.dim, c.field), c.dst, c.mat.hstack(-d.mat))
-    kd = kernel(diff)
-    f_mat, g_mat = kd.ker_mor.mat.split_rows(c.src.dim)
-    p = kd.ker_obj
-    return PullbackData(p, Mor(p, c.src, f_mat), Mor(p, d.src, g_mat), kd.ker_mor, c, d, diff)
+    diff = Mor(c.mat.hstack(-d.mat))
+    n = kernel(diff).ker_mor
+    f_mat, g_mat = n.mat.split_rows(c.mat.cols)
+    return PullbackData(Mor(f_mat), Mor(g_mat), n, c, d, diff)
 
 
 def pullback_lift(pb: PullbackData, x: Mor, y: Mor) -> Mor:
@@ -114,19 +117,17 @@ def pullback_lift(pb: PullbackData, x: Mor, y: Mor) -> Mor:
         raise PreconditionError(
             f"pullback lift needs c @ x = d @ y, got residual {residual.mat}"
         )
-    return mono_lift(pb.n, Mor(x.src, pb.diff.src, x.mat.vstack(y.mat)))
+    return mono_lift(pb.n, Mor(x.mat.vstack(y.mat)))
 
 
 def pushout(a: Mor, b: Mor) -> PushoutData:
     """The amalgamated sum of two maps with a common source."""
     if a.src != b.src:
         raise ShapeError(f"pushout needs a common source: {a.src} vs {b.src}")
-    summed = Mor(a.src, Obj(a.dst.dim + b.dst.dim, a.field), a.mat.vstack(b.mat))
-    cd = cokernel(summed)
-    r_mat, s_mat = cd.coker_mor.mat.split_cols(a.dst.dim)
-    q = cd.coker_obj
-    return PushoutData(q, Mor(a.dst, q, r_mat), Mor(b.dst, q, -s_mat), cd.coker_mor,
-                       a, b, summed)
+    summed = Mor(a.mat.vstack(b.mat))
+    t = cokernel(summed).coker_mor
+    r_mat, s_mat = t.mat.split_cols(a.mat.rows)
+    return PushoutData(Mor(r_mat), Mor(-s_mat), t, a, b, summed)
 
 
 def pushout_colift(po: PushoutData, x: Mor, y: Mor) -> Mor:
@@ -143,7 +144,7 @@ def pushout_colift(po: PushoutData, x: Mor, y: Mor) -> Mor:
         raise PreconditionError(
             f"pushout colift needs x @ a = y @ b, got residual {residual.mat}"
         )
-    return epi_colift(po.t, Mor(po.summed.dst, x.dst, x.mat.hstack(-y.mat)))
+    return epi_colift(po.t, Mor(x.mat.hstack(-y.mat)))
 
 
 def same_subobject(m1: Mor, m2: Mor) -> bool:
@@ -180,18 +181,12 @@ def is_exact_pair(f: Mor, g: Mor) -> bool:
 
 
 def is_kernel_of(n: Mor, f: Mor) -> bool:
-    """Whether ``n`` embeds exactly the kernel of ``f``."""
-    if n.dst != f.src:
-        raise ShapeError(f"{n.dst} is not the source of {f.src}->{f.dst}")
-    if not n.is_mono or not (f @ n).is_zero:
-        return False
-    return kernel_lift(kernel(f), n).is_iso
+    """Whether ``n`` embeds exactly the kernel of ``f``: a mono whose image
+    is the kernel of ``f``."""
+    return is_exact_pair(n, f) and n.is_mono
 
 
 def is_cokernel_of(t: Mor, f: Mor) -> bool:
-    """Whether ``t`` projects exactly the cokernel of ``f``."""
-    if t.src != f.dst:
-        raise ShapeError(f"{t.src} is not the target of {f.src}->{f.dst}")
-    if not t.is_epi or not (t @ f).is_zero:
-        return False
-    return cokernel_colift(cokernel(f), t).is_iso
+    """Whether ``t`` projects exactly the cokernel of ``f``: an epi whose
+    kernel is the image of ``f``."""
+    return is_exact_pair(f, t) and t.is_epi

@@ -32,6 +32,11 @@ from .linalg import Matrix
 from .snake import SnakeInput
 from .squares import Square
 
+# Largest object dimension a file may declare.  Small files with large
+# dimensions are the costly ones (a 0 x N map has an empty matrix), so this
+# bounds the cost of every small file; see the README for timings.
+MAX_DIM = 150
+
 ROLES = {
     "morphism": ("f",),
     "pair": ("f", "g"),
@@ -108,6 +113,7 @@ def parse_text(text: str) -> DiagramFile:
         _want(bool(name), "objects", "object names must be nonempty")
         _want(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0,
               path, "dimension must be an integer >= 0")
+        _want(dim <= MAX_DIM, path, f"dimension {dim} exceeds the limit {MAX_DIM}")
         objects[name] = dim
 
     mors_node = root["morphisms"]
@@ -138,7 +144,7 @@ def parse_text(text: str) -> DiagramFile:
                 except ValueError as exc:
                     raise DiagramFormatError(f"{cell_path}: {exc}") from None
         mat = Matrix(nrows, ncols, tuple(flat), fld)
-        morphisms[name] = (src, dst, Mor(Obj(ncols, fld), Obj(nrows, fld), mat))
+        morphisms[name] = (src, dst, Mor(mat))
 
     diagram_node = root["diagram"]
     _want(isinstance(diagram_node, dict), "diagram", "must be an object")

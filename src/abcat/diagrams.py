@@ -74,32 +74,30 @@ class SplitMix64:
         return SplitMix64(acc)
 
 
+ENTRY_POOL = (-3, -2, -1, 1, 2, 3)
+DENSITY_PCT = 60  # chance, in percent, that an entry is nonzero
+
+
 @dataclass(frozen=True)
 class GenConfig:
     seed: int
     field: ScalarField = RATIONALS
     max_dim: int = 5
-    entry_pool: tuple[int, ...] = (-3, -2, -1, 1, 2, 3)
-    density_pct: int = 60  # chance, in percent, that an entry is nonzero
 
     def __post_init__(self):
         if self.max_dim < 1:
             raise ValueError("max_dim must be >= 1")
-        if not 0 < self.density_pct <= 100:
-            raise ValueError("density_pct must be in (0, 100]")
 
 
 def _pool(cfg: GenConfig) -> list[Scalar]:
     # distinct nonzero field elements of the pool, in first-seen order;
-    # over GF(2) the whole pool collapses to [1]
+    # over GF(2) the whole pool collapses to [1], and +-1 is never zero
     seen: list[Scalar] = []
     zero = cfg.field.zero()
-    for k in cfg.entry_pool:
+    for k in ENTRY_POOL:
         x = cfg.field.from_int(k)
         if x != zero and x not in seen:
             seen.append(x)
-    if not seen:
-        raise GenerationError(f"entry pool has no nonzero elements in {cfg.field}")
     return seen
 
 
@@ -114,7 +112,7 @@ def rand_matrix(rng: SplitMix64, cfg: GenConfig, rows: int, cols: int) -> Matrix
     zero = cfg.field.zero()
     entries = []
     for _ in range(rows * cols):
-        if rng.below(100) < cfg.density_pct:
+        if rng.below(100) < DENSITY_PCT:
             entries.append(rng.choice(pool))
         else:
             entries.append(zero)
@@ -122,7 +120,7 @@ def rand_matrix(rng: SplitMix64, cfg: GenConfig, rows: int, cols: int) -> Matrix
 
 
 def rand_mor(rng: SplitMix64, cfg: GenConfig, src_dim: int, dst_dim: int) -> Mor:
-    return Mor.from_matrix(rand_matrix(rng, cfg, dst_dim, src_dim))
+    return Mor(rand_matrix(rng, cfg, dst_dim, src_dim))
 
 
 _TRIES = 100
@@ -148,14 +146,10 @@ def rand_mono(rng: SplitMix64, cfg: GenConfig, src_dim: int, dst_dim: int) -> Mo
     raise GenerationError(f"no mono of shape {dst_dim}x{src_dim} in {_TRIES} tries")
 
 
-def gen_morphism(cfg: GenConfig, src_dim: int | None = None,
-                 dst_dim: int | None = None) -> Mor:
-    """One random morphism.  Dimensions are drawn up to max_dim unless
-    pinned explicitly (pinned dimensions may exceed max_dim)."""
+def gen_morphism(cfg: GenConfig) -> Mor:
+    """One random morphism, its dimensions drawn up to max_dim."""
     rng = SplitMix64(cfg.seed).derive(1)
-    src = rand_dim(rng, cfg) if src_dim is None else src_dim
-    dst = rand_dim(rng, cfg) if dst_dim is None else dst_dim
-    return rand_mor(rng, cfg, src, dst)
+    return rand_mor(rng, cfg, rand_dim(rng, cfg), rand_dim(rng, cfg))
 
 
 def gen_exact_pair(cfg: GenConfig) -> tuple[Mor, Mor]:
@@ -232,7 +226,7 @@ def _rand_intertwiner(rng: SplitMix64, cfg: GenConfig, d: Mor, a: Mor) -> Mor:
     flat = basis @ coeffs
     v_entries = tuple(flat.entry(j * n_b + m, 0)
                       for j in range(n_b2) for m in range(n_b))
-    return Mor.from_matrix(Matrix(n_b2, n_b, v_entries, fld))
+    return Mor(Matrix(n_b2, n_b, v_entries, fld))
 
 
 def gen_snake_input(cfg: GenConfig, short_exact_rows: bool = False) -> SnakeInput:

@@ -231,7 +231,7 @@ def _epi_horizontal_square(rng: SplitMix64, cfg: GenConfig) -> Square:
     bottom = rand_epi(rng, cfg, dim_c, rng.below(dim_c + 1))
     right = rand_mor(rng, cfg, top.dst.dim, bottom.dst.dim)
     lmat = solve(bottom.mat, (right @ top).mat)
-    left = Mor(top.src, bottom.src, lmat)
+    left = Mor(lmat)
     return Square(top, left, right, bottom)
 
 
@@ -244,7 +244,7 @@ def _mono_horizontal_square_on(rng: SplitMix64, cfg: GenConfig, v: Mor) -> Squar
     top = rand_mono(rng, cfg, v.src.dim, v.src.dim + rng.below(3))
     bottom = rand_mono(rng, cfg, v.dst.dim, v.dst.dim + rng.below(3))
     rt = solve(top.mat.transpose(), ((bottom @ v).mat).transpose())
-    base = Mor(top.dst, bottom.dst, rt.transpose())
+    base = Mor(rt.transpose())
     ck = cokernel(top)
     wiggle = rand_mor(rng, cfg, ck.coker_obj.dim, bottom.dst.dim) @ ck.coker_mor
     return Square(top, v, base + wiggle, bottom)
@@ -291,10 +291,7 @@ def _alt_factorize(f: Mor) -> Factorization:
         if rank(f.mat.take_columns([*kept, c])) > len(kept):
             kept.append(c)
     mono_mat = f.mat.take_columns(kept)
-    img = Obj(len(kept), f.field)
-    mono = Mor(img, f.dst, mono_mat)
-    q = solve(mono_mat, f.mat)
-    return Factorization(Mor(f.src, img, q), mono)
+    return Factorization(Mor(solve(mono_mat, f.mat)), Mor(mono_mat))
 
 
 def check_factorization(cases: int, seed: int, field: ScalarField) -> SuiteResult:
@@ -378,7 +375,7 @@ def check_kernel_restriction(cases: int, seed: int, field: ScalarField) -> Suite
         extra = rng.below(dim_b - k.src.dim + 1)
         b = None
         for _ in range(40):
-            cand = Mor.from_matrix(k.mat.hstack(rand_matrix(rng, cfg, dim_b, extra)))
+            cand = Mor(k.mat.hstack(rand_matrix(rng, cfg, dim_b, extra)))
             if cand.is_mono:
                 b = cand
                 break
@@ -721,7 +718,7 @@ def check_transport(cases: int, seed: int, field: ScalarField) -> SuiteResult:
         phi = mono_lift(ks.ker_mor, v @ a0)
         beta = rand_epi(rng, cfg, ks.ker_obj.dim + rng.below(3), ks.ker_obj.dim)
         b0 = ks.ker_mor @ beta
-        u0 = Mor(a0.src, beta.src, solve(beta.mat, phi.mat))
+        u0 = Mor(solve(beta.mat, phi.mat))
         ksq = Square(a0, u0, v, b0)
         rec.check(analyze(lsq).is_semicartesian, f"case {i}: fwd setup L not semi-cartesian")
         rec.check(is_exact_pair(a0, c0), f"case {i}: fwd setup top row not exact")
@@ -748,7 +745,7 @@ def check_transport(cases: int, seed: int, field: ScalarField) -> SuiteResult:
         wt = solve(c1.mat.transpose(), ((d0 @ v1).mat).transpose())
         if not rec.check(wt is not None, f"case {i}: dual setup right vertical missing"):
             continue
-        w1 = Mor(c1.dst, d0.dst, wt.transpose())
+        w1 = Mor(wt.transpose())
         lsq2 = Square(c1, v1, w1, d0)
         rec.check(analyze(ksq2).is_semicartesian, f"case {i}: dual setup K not semi-cartesian")
         rec.check(is_exact_pair(b1, d0), f"case {i}: dual setup bottom row not exact")
@@ -825,15 +822,14 @@ def _pin_ladder(field: ScalarField) -> SnakeInput:
     """The worked ladder rebuilt over ``field``: its connecting morphism has
     rank 1, so it always pins the global sign."""
 
-    def mor(rows: list[list[int]], src: int, dst: int) -> Mor:
-        return Mor(Obj(src, field), Obj(dst, field),
-                   Matrix.from_int_rows(field, rows, cols=src))
+    def mor(rows: list[list[int]]) -> Mor:
+        return Mor(Matrix.from_int_rows(field, rows))
 
     return validate(SnakeInput(
-        a=mor([[1], [0]], 1, 2), c=mor([[0, 1]], 2, 1),
-        u=mor([[0]], 1, 1), v=mor([[0, 1], [0, 0]], 2, 2),
-        w=mor([[0]], 1, 1),
-        b=mor([[1], [0]], 1, 2), d=mor([[0, 1]], 2, 1)))
+        a=mor([[1], [0]]), c=mor([[0, 1]]),
+        u=mor([[0]]), v=mor([[0, 1], [0, 0]]),
+        w=mor([[0]]),
+        b=mor([[1], [0]]), d=mor([[0, 1]])))
 
 
 def check_snake_oracle(cases: int, seed: int, field: ScalarField) -> SuiteResult:

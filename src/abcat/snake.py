@@ -307,4 +307,4 @@ def chase_delta(inp: SnakeInput) -> Mor:
             elif out != cols[-1]:
                 raise InternalCheckError("chase result depends on the lift choice")
     out_mat = Matrix.from_rows(p.field, [c.entries for c in cols], cols=p.mat.rows)
-    return Mor(k.src, p.dst, out_mat.transpose())
+    return Mor(out_mat.transpose())

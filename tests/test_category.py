@@ -1,11 +1,14 @@
 """Objects, morphisms, and the canonical (co)kernel and biproduct structure."""
 
+import dataclasses
 import random
 
 import pytest
 
 from abcat.category import (
     Biproduct,
+    CokernelData,
+    KernelData,
     Mor,
     Obj,
     biproduct,
@@ -19,6 +22,7 @@ from abcat.category import (
     mono_lift,
     zero_mor,
 )
+from abcat.constructions import PullbackData, PushoutData, pullback, pushout
 from abcat.diagrams import GenConfig, gen_morphism
 from abcat.errors import PreconditionError, ShapeError
 from abcat.fields import RATIONALS, prime_field
@@ -47,18 +51,34 @@ def test_null_object_flag():
     assert not Obj(1, Q).is_null
 
 
-def test_mor_shape_is_enforced():
-    mat = Matrix.from_int_rows(Q, [[1, 2]])
-    with pytest.raises(ShapeError):
-        Mor(Obj(1, Q), Obj(1, Q), mat)  # needs a 2-dim source
-    with pytest.raises(ShapeError):
-        Mor(Obj(2, GF5), Obj(1, GF5), mat)  # rational matrix, GF(5) endpoints
-
-
 def test_from_matrix_derives_endpoints():
     f = qmor([[1, 2], [3, 4], [5, 6]])
     assert f.src == Obj(2, Q)
     assert f.dst == Obj(3, Q)
+    assert Mor(f.mat) == f and Mor.from_matrix(f.mat) == f
+    # zero shapes: maps out of and into the null object
+    out_of_null = Mor(Matrix.zeros(Q, 4, 0))
+    assert (out_of_null.src, out_of_null.dst) == (Obj(0, Q), Obj(4, Q))
+    assert out_of_null.is_mono and not out_of_null.is_epi
+    into_null = Mor(Matrix.zeros(Q, 0, 4))
+    assert (into_null.src, into_null.dst) == (Obj(4, Q), Obj(0, Q))
+    assert into_null.is_epi and not into_null.is_mono
+    assert Mor(Matrix.zeros(Q, 0, 0)).is_iso
+    # the field comes from the matrix too
+    g = Mor(Matrix.from_int_rows(GF5, [[1, 2]]))
+    assert (g.src, g.dst, g.field) == (Obj(2, GF5), Obj(1, GF5), GF5)
+    assert g.src != Obj(2, Q) and g != Mor(Matrix.from_int_rows(Q, [[1, 2]]))
+
+
+def test_morphisms_and_constructions_store_no_objects():
+    assert [f.name for f in dataclasses.fields(Mor)] == ["mat"]
+    for cls in (KernelData, CokernelData, Biproduct, PullbackData, PushoutData):
+        assert {f.type for f in dataclasses.fields(cls)} == {"Mor"}, cls
+    f = qmor([[1, 2, 0], [2, 4, 0]])
+    kd, cd, bp = kernel(f), cokernel(f), biproduct(f.src, f.dst)
+    assert (kd.ker_obj, cd.coker_obj, bp.sum_obj) == (Obj(2, Q), Obj(1, Q), Obj(5, Q))
+    pb, po = pullback(f, f), pushout(f, f)
+    assert (pb.p_obj, po.s_obj) == (pb.n.src, po.t.dst) == (Obj(5, Q), Obj(3, Q))
 
 
 def test_compose_shapes_and_identity_laws():

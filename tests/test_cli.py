@@ -12,6 +12,7 @@ from abcat import cli, snake, squares
 from abcat.category import Mor, Obj, zero_mor
 from abcat.cli import main
 from abcat.diagram_io import (
+    MAX_DIM,
     diagram_for_morphism,
     diagram_for_pair,
     diagram_for_square,
@@ -258,6 +259,35 @@ def test_square_decompose_analyses_once(run, monkeypatch):
     assert len(calls) == 1
 
 
+def test_square_decompose_does_not_recompose_again(run, monkeypatch):
+    # the report's recomposition verdict comes from the check that
+    # decompose_semicartesian already made, not from gluing the halves again
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counting(a, b):
+        calls.append(1)
+        return matmul(a, b)
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    code, out, err = run("square", str(GOLDEN / "square_gf7_seed1.json"), "--decompose")
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "square_gf7_seed1_decompose_report.txt").read_text(encoding="utf-8")
+    assert len(calls) < 27  # 27 when the verdict glued the halves with compose_h
+
+
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**12])
+def test_over_limit_dimension_exits_two_quickly(run, tmp_path, dim):
+    doc = {"field": {"kind": "Q"}, "objects": {"A": dim, "B": 0},
+           "morphisms": {"f": {"src": "A", "dst": "B", "matrix": []}},
+           "diagram": {"kind": "morphism", "roles": {"f": "f"}}}
+    path = _write(tmp_path, "huge.json", json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run("pullback", path, "--of", "f,f")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: objects.A: dimension {dim} exceeds the limit {MAX_DIM}\n"
+
+
 @pytest.mark.parametrize("field, cell", [({"kind": "Q"}, "３/٢"),
                                          ({"kind": "GFp", "p": 7}, "٥")], ids=["Q", "GF7"])
 def test_non_ascii_digits_are_input_errors(run, tmp_path, field, cell):
@@ -318,6 +348,11 @@ def test_gen_rejects_bad_field_and_composite_modulus():
 def test_gen_rejects_bad_max_dim(run):
     code, out, err = run("gen", "--kind", "pair", "--seed", "1", "--max-dim", "0")
     assert code == 2 and "error:" in err
+    # a square's corner can reach 2 * max_dim + 2, which must stay readable
+    top = (MAX_DIM - 2) // 2
+    code, out, err = run("gen", "--kind", "square", "--seed", "1", "--max-dim", str(top + 1))
+    assert code == 2 and out == ""
+    assert err == f"error: --max-dim must be at most {top}, got {top + 1}\n"
 
 
 def test_readme_session_replays_byte_for_byte(run, tmp_path):

@@ -240,7 +240,7 @@ def test_kernel_cokernel_recognizers():
     assert is_kernel_of(kd.ker_mor, f)
     assert is_cokernel_of(cd.coker_mor, cd.of)
     # a scaled copy of the kernel embedding is still a kernel
-    scaled = Mor(kd.ker_obj, kd.ker_mor.dst, kd.ker_mor.mat.scale(Q.from_int(3)))
+    scaled = Mor(kd.ker_mor.mat.scale(Q.from_int(3)))
     assert is_kernel_of(scaled, f)
     # but a proper sub-line of a two-dim kernel is not
     wide = qmor([[0, 0, 0]])
@@ -259,3 +259,10 @@ def test_recognizers_reject_nonvanishing_composite():
     n = qmor([[1], [0]])
     assert not is_kernel_of(n, f)
     assert not is_cokernel_of(qmor([[1, 0]]), qmor([[1], [0]]))
+
+
+def test_recognizers_reject_mismatched_shapes():
+    with pytest.raises(ShapeError):
+        is_kernel_of(qmor([[1]]), qmor([[1, 1]]))  # n lands in Q^1, f starts at Q^2
+    with pytest.raises(ShapeError):
+        is_cokernel_of(qmor([[1, 1]]), qmor([[1]]))  # t starts at Q^2, f ends at Q^1
