@@ -233,8 +233,8 @@ def cmd_snake(args: argparse.Namespace) -> int:
     )
     if args.trace:
         tr = out.trace
-        report.derived["trace_reduced_a"] = str(tr.reduced.a.mat)
-        report.derived["trace_reduced_d"] = str(tr.reduced.d.mat)
+        report.derived["trace_reduced_a"] = str(tr.mono_a.mat)
+        report.derived["trace_reduced_d"] = str(tr.epi_d.mat)
         report.derived["trace_pullback_n"] = str(tr.pb.n.mat)
         report.derived["trace_z"] = str(tr.z.mat)
         report.derived["trace_l"] = str(tr.l.mat)

@@ -53,12 +53,6 @@ def epi_mono_factorize(f: Mor) -> Factorization:
                          Mor(f.mat.take_columns(pivots)))
 
 
-def image(f: Mor) -> tuple[Obj, Mor]:
-    """The image subobject of ``f`` with its embedding."""
-    fact = epi_mono_factorize(f)
-    return fact.mono_m.src, fact.mono_m
-
-
 @dataclass(frozen=True)
 class PullbackData:
     """A fiber product of ``(c, d)``: legs ``f, g`` and the kernel embedding

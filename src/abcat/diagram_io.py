@@ -94,7 +94,7 @@ def parse_text(text: str) -> DiagramFile:
     """Parse and validate one diagram document."""
     try:
         root = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DiagramFormatError(f"invalid JSON: {exc}") from None
     _want(isinstance(root, dict), "$", "top level must be an object")
     required = {"field", "objects", "morphisms", "diagram"}

@@ -20,7 +20,7 @@ from .category import Mor, cokernel, kernel, kernel_lift, cokernel_colift
 from .constructions import pullback
 from .errors import GenerationError
 from .fields import RATIONALS, Scalar, ScalarField
-from .linalg import Matrix, nullspace_basis
+from .linalg import Matrix
 from .snake import SnakeInput, validate
 from .squares import Square
 
@@ -205,28 +205,29 @@ def gen_semicartesian(cfg: GenConfig, variant: str = "epi") -> Square:
 def _rand_intertwiner(rng: SplitMix64, cfg: GenConfig, d: Mor, a: Mor) -> Mor:
     """A random v with d @ v @ a = 0, drawn from the full solution space.
 
-    The constraint is linear in the entries of v: flattening v row-major,
-    the equation indexed by (row i of d, column l of a) has coefficient
-    d[i, j] * a[m, l] at unknown v[j, m].  A random combination of the
-    nullspace basis of that system is a uniform-ish sample of valid v.
+    Flattening v row-major, the constraint is the system ``d ⊗ aᵀ``, whose
+    reduced form is ``R_d ⊗ R_t`` without its zero rows, where ``R_d`` and
+    ``R_t`` are the reduced forms of ``d`` and ``aᵀ``.  So the entries
+    ``v[p_i, q_l]``, at pivot columns ``p_i`` of ``d`` and ``q_l`` of
+    ``aᵀ``, are bound, and the others take random coefficients in row-major
+    order: a random combination of the canonical nullspace basis.  With
+    ``C`` holding those coefficients (zero at the bound entries),
+    ``v[p_i, q_l] = -(R_d @ C @ R_tᵀ)[i, l]``.
     """
     fld = cfg.field
-    n_b, n_b2 = a.dst.dim, d.src.dim
-    n_rows = d.dst.dim * a.src.dim
-    n_unknowns = n_b2 * n_b
-    entries: list[Scalar] = []
-    for i in range(d.dst.dim):
-        for l in range(a.src.dim):
-            for j in range(n_b2):
-                for m in range(n_b):
-                    entries.append(d.mat.entry(i, j) * a.mat.entry(m, l))
-    system = Matrix(n_rows, n_unknowns, tuple(entries), fld)
-    basis = nullspace_basis(system)  # n_unknowns x solution_dim
-    coeffs = rand_matrix(rng, cfg, basis.cols, 1)
-    flat = basis @ coeffs
-    v_entries = tuple(flat.entry(j * n_b + m, 0)
-                      for j in range(n_b2) for m in range(n_b))
-    return Mor(Matrix(n_b2, n_b, v_entries, fld))
+    n_b2, n_b = d.src.dim, a.dst.dim
+    cells = [(j, m) for j in range(n_b2) for m in range(n_b)]
+    r_d, piv_d, rank_d = d.mat.echelon
+    r_t, piv_t, rank_t = a.mat.transpose().echelon
+    bound = {(p, q) for p in piv_d for q in piv_t}
+    free = [cell for cell in cells if cell not in bound]
+    v = dict(zip(free, rand_matrix(rng, cfg, len(free), 1).entries))
+    coeffs = Matrix(n_b2, n_b, tuple(v.get(cell, fld.zero()) for cell in cells), fld)
+    solved = r_d.split_rows(rank_d)[0] @ coeffs @ r_t.split_rows(rank_t)[0].transpose()
+    for i, p in enumerate(piv_d):
+        for l, q in enumerate(piv_t):
+            v[p, q] = -solved.entry(i, l)
+    return Mor(Matrix(n_b2, n_b, tuple(v[cell] for cell in cells), fld))
 
 
 def gen_snake_input(cfg: GenConfig, short_exact_rows: bool = False) -> SnakeInput:
@@ -248,7 +249,8 @@ def gen_snake_input(cfg: GenConfig, short_exact_rows: bool = False) -> SnakeInpu
         a = rand_mono(rng, cfg, dim_a, dim_b)
     else:
         a = rand_mor(rng, cfg, min(rand_dim(rng, cfg), rand_dim(rng, cfg)), dim_b)
-    c = cokernel(a).coker_mor
+    coker_a = cokernel(a)
+    c = coker_a.coker_mor
 
     dim_b2 = max(rand_dim(rng, cfg), rand_dim(rng, cfg))
     if short_exact_rows:
@@ -256,9 +258,10 @@ def gen_snake_input(cfg: GenConfig, short_exact_rows: bool = False) -> SnakeInpu
         d = rand_epi(rng, cfg, dim_b2, dim_c2)
     else:
         d = rand_mor(rng, cfg, dim_b2, min(rand_dim(rng, cfg), rand_dim(rng, cfg)))
-    b = kernel(d).ker_mor
+    ker_d = kernel(d)
+    b = ker_d.ker_mor
 
     v = _rand_intertwiner(rng, cfg, d, a)
-    u = kernel_lift(kernel(d), v @ a)
-    w = cokernel_colift(cokernel(a), d @ v)
+    u = kernel_lift(ker_d, v @ a)
+    w = cokernel_colift(coker_a, d @ v)
     return validate(SnakeInput(a=a, c=c, u=u, v=v, w=w, b=b, d=d))

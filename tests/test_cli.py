@@ -16,6 +16,7 @@ from abcat.diagram_io import (
     diagram_for_morphism,
     diagram_for_pair,
     diagram_for_square,
+    parse_text,
     serialize,
 )
 from abcat.diagrams import GenConfig, gen_semicartesian
@@ -73,6 +74,17 @@ def test_factor_unknown_name(run, tmp_path):
 def test_missing_file_is_input_error(run, tmp_path):
     code, out, err = run("factor", str(tmp_path / "absent.json"), "--morphism", "f")
     assert code == 2 and "cannot read" in err
+
+
+@pytest.mark.parametrize("where", ["top", "meta"])
+def test_deeply_nested_json_is_input_error(run, tmp_path, where):
+    deep = "[" * 1000 + "]" * 1000
+    doc = json.loads(serialize(diagram_for_morphism(qmor([[1]]))))
+    doc["meta"] = {"nest": "DEEP"}
+    text = deep if where == "top" else json.dumps(doc).replace('"DEEP"', deep)
+    code, out, err = run("factor", _write(tmp_path, "d.json", text), "--morphism", "f")
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON: ")
 
 
 # -- check-exact ------------------------------------------------------------------
@@ -353,6 +365,14 @@ def test_gen_rejects_bad_max_dim(run):
     code, out, err = run("gen", "--kind", "square", "--seed", "1", "--max-dim", str(top + 1))
     assert code == 2 and out == ""
     assert err == f"error: --max-dim must be at most {top}, got {top + 1}\n"
+
+
+def test_gen_snake_at_the_max_dim_cap_finishes(run):
+    start = time.perf_counter()
+    code, out, err = run("gen", "--kind", "snake", "--seed", "2", "--max-dim", "74")
+    assert code == 0 and err == ""
+    assert parse_text(out).kind == "snake"
+    assert time.perf_counter() - start < 60
 
 
 def test_readme_session_replays_byte_for_byte(run, tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from abcat.category import Mor, Obj, identity, kernel, cokernel, zero_mor
 from abcat.constructions import (
     epi_mono_factorize,
-    image,
     is_cokernel_of,
     is_exact_pair,
     is_kernel_of,
@@ -62,10 +61,10 @@ def test_factorize_iso_keeps_both_parts_iso():
 
 def test_image_dimension_is_rank():
     f = qmor([[1, 2, 3], [2, 4, 6]])
-    obj, emb = image(f)
-    assert obj.dim == 1
+    emb = epi_mono_factorize(f).mono_m
+    assert emb.src.dim == 1
     assert emb.is_mono
-    assert same_subobject(emb, epi_mono_factorize(f).mono_m)
+    assert same_subobject(emb, qmor([[-2], [-4]]))
 
 
 def test_factorize_randomized_roundtrip():

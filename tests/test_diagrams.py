@@ -2,6 +2,7 @@
 
 import pytest
 
+from abcat import linalg
 from abcat.constructions import is_exact_pair, pullback
 from abcat.diagrams import (
     GenConfig,
@@ -142,6 +143,27 @@ def test_gen_snake_input_always_validates(field, short):
         assert violations(inp) == []
         if short:
             assert inp.a.is_mono and inp.d.is_epi
+
+
+@pytest.mark.parametrize("field", [Q, GF7])
+def test_snake_generator_row_reduces_within_max_dim(field, monkeypatch):
+    # the middle vertical comes from the echelon forms of d and a-transpose,
+    # never from the (dim C' * dim A) x (dim B' * dim B) system of d v a = 0;
+    # the widest reduction left is a lift's augmented [m | t]
+    shapes = []
+
+    def recording(m):
+        shapes.append((m.rows, m.cols))
+        return real_rref(m)
+
+    real_rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", recording)
+    for seed in range(1, 40):
+        for short in (False, True):
+            gen_snake_input(GenConfig(seed=seed, field=field, max_dim=6),
+                            short_exact_rows=short)
+    assert max(rows for rows, _ in shapes) <= 6
+    assert max(cols for _, cols in shapes) <= 12
 
 
 @pytest.mark.parametrize("field", [Q, GF7])

@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from abcat import snake
 from abcat.category import Mor, Obj, identity, kernel, cokernel, zero_mor
 from abcat.errors import InternalCheckError
 from abcat.fields import RATIONALS, prime_field
@@ -20,7 +21,6 @@ from abcat.snake import (
     SnakeInputError,
     chase_delta,
     connecting_morphism,
-    reduce_input,
     snake_sequence,
     validate,
     violations,
@@ -46,8 +46,9 @@ def test_worked_example_delta_is_the_unit():
     delta, trace = connecting_morphism(worked_example_input())
     assert delta.mat == Matrix.from_int_rows(Q, [[1]])
     assert delta.is_iso
-    # reduction was a no-op: a is already mono and d already epi
-    assert trace.reduced == worked_example_input()
+    # a is already mono and d already epi, so they are their own parts
+    assert trace.mono_a == worked_example_input().a
+    assert trace.epi_d == worked_example_input().d
 
 
 def test_worked_example_six_term_ranks():
@@ -67,9 +68,17 @@ def test_worked_example_trace_identities_hold_externally():
     inp = worked_example_input()
     delta, tr = connecting_morphism(inp)
     assert tr.po.r @ delta == tr.theta
-    assert tr.theta @ tr.pb.f == tr.po.s @ tr.reduced.v @ tr.pb.g
+    assert tr.theta @ tr.pb.f == tr.po.s @ inp.v @ tr.pb.g
     assert (tr.h @ tr.theta).is_zero
-    assert tr.reduced.a @ tr.l == tr.pb.g @ tr.z
+    assert tr.mono_a @ tr.l == tr.pb.g @ tr.z
+
+
+def test_stray_theta_is_an_internal_error_before_the_lift(monkeypatch):
+    # on the worked ladder theta is e1 and h = [0, 1]; a theta that h does
+    # not kill must be reported as a bug, not as mono_lift's bad input
+    monkeypatch.setattr(snake, "epi_colift", lambda e, t: qmor([[1], [1]]))
+    with pytest.raises(InternalCheckError, match="theta must die"):
+        connecting_morphism(worked_example_input())
 
 
 def test_naturality_squares_of_induced_maps():
@@ -142,16 +151,11 @@ def test_validate_raises_with_violation_list():
         chase_delta(bad)
 
 
-# -- reduction -----------------------------------------------------------------
-
-
-def test_reduce_is_identity_on_reduced_input():
-    inp = worked_example_input()
-    assert reduce_input(inp) == inp
+# -- mono part of a, epi part of d ------------------------------------------------
 
 
 def _non_mono_a_ladder():
-    # a = 0 on a 1-dim source: reduction must shrink A to the null object
+    # a = 0 on a 1-dim source: its mono part starts at the null object
     one = qmor([[1]])
     return SnakeInput(
         a=zero_mor(Obj(1, Q), Obj(1, Q)),
@@ -164,14 +168,12 @@ def _non_mono_a_ladder():
     )
 
 
-def test_reduce_shrinks_non_mono_a():
+def test_mono_part_of_non_mono_a_is_null():
     inp = _non_mono_a_ladder()
     assert violations(inp) == []
-    red = reduce_input(inp)
-    assert red.a.src.is_null and red.a.is_mono
-    assert red.u.src.is_null
-    # untouched fields pass through
-    assert red.c == inp.c and red.v == inp.v and red.b == inp.b
+    _, trace = connecting_morphism(inp)
+    assert trace.mono_a.src.is_null and trace.mono_a.is_mono
+    assert trace.mono_a.dst == inp.a.dst
 
 
 def test_delta_on_reduced_ladder():
@@ -181,7 +183,7 @@ def test_delta_on_reduced_ladder():
 
 
 def _non_epi_d_ladder():
-    # d = 0 into a 1-dim target: reduction must shrink C' to the null object
+    # d = 0 into a 1-dim target: its epi part ends at the null object
     one = qmor([[1]])
     return SnakeInput(
         a=one,
@@ -194,15 +196,32 @@ def _non_epi_d_ladder():
     )
 
 
-def test_reduce_shrinks_non_epi_d():
+def test_epi_part_of_non_epi_d_is_null():
     inp = _non_epi_d_ladder()
     assert violations(inp) == []
-    red = reduce_input(inp)
-    assert red.d.dst.is_null and red.d.is_epi
-    assert red.w.dst.is_null
     delta, trace = connecting_morphism(inp)
+    assert trace.epi_d.dst.is_null and trace.epi_d.is_epi
+    assert trace.epi_d.src == inp.d.src
     assert delta.src.is_null  # Ker w is null here
-    assert trace.reduced == red
+    assert chase_delta(inp) == delta
+
+
+def test_snake_sequence_builds_ker_w_and_coker_u_once(monkeypatch):
+    calls = {"kernel": 0, "cokernel": 0}
+
+    def counted(name, fn):
+        def wrapper(f):
+            calls[name] += 1
+            return fn(f)
+        return wrapper
+
+    monkeypatch.setattr(snake, "kernel", counted("kernel", snake.kernel))
+    monkeypatch.setattr(snake, "cokernel", counted("cokernel", snake.cokernel))
+    out = snake_sequence(worked_example_input())
+    # Ker w, Ker of the pullback leg, Ker u, Ker v; dually for cokernels
+    assert calls == {"kernel": 4, "cokernel": 4}
+    assert out.ker_w == kernel(out.ker_w.of)
+    assert out.coker_u == cokernel(out.coker_u.of)
 
 
 # -- generated ladders ---------------------------------------------------------
