@@ -218,7 +218,7 @@ def _rand_intertwiner(rng: SplitMix64, cfg: GenConfig, d: Mor, a: Mor) -> Mor:
     n_b2, n_b = d.src.dim, a.dst.dim
     cells = [(j, m) for j in range(n_b2) for m in range(n_b)]
     r_d, piv_d, rank_d = d.mat.echelon
-    r_t, piv_t, rank_t = a.mat.transpose().echelon
+    r_t, piv_t, rank_t = a.mat.T.echelon  # reduced once, shared with cokernel(a)
     bound = {(p, q) for p in piv_d for q in piv_t}
     free = [cell for cell in cells if cell not in bound]
     v = dict(zip(free, rand_matrix(rng, cfg, len(free), 1).entries))

@@ -22,8 +22,9 @@ from .fields import GFElement, Scalar, ScalarField
 class Matrix:
     """An immutable ``rows x cols`` matrix with entries in one scalar field.
 
-    Entries are stored row-major in a flat tuple.  The echelon record is
-    computed on first use and kept with the matrix.
+    Entries are stored row-major in a flat tuple.  The echelon record, the
+    transpose and the kernel and cokernel bases are computed on first use
+    and kept with the matrix.
     """
 
     rows: int
@@ -113,6 +114,34 @@ class Matrix:
     def echelon(self) -> tuple[Matrix, tuple[int, ...], int]:
         """``rref(self)``: the reduced form, its pivot columns and the rank."""
         return rref(self)
+
+    @cached_property
+    def T(self) -> Matrix:
+        """``self.transpose()``, kept so that its echelon form is kept too."""
+        return self.transpose()
+
+    @cached_property
+    def kernel_basis(self) -> Matrix:
+        """``nullspace_basis(self)``, read off ``echelon``."""
+        r, pivots, _ = self.echelon
+        pivot_set = set(pivots)
+        free = [c for c in range(self.cols) if c not in pivot_set]
+        zero, one = self.field.zero(), self.field.one()
+        cols: list[list[Scalar]] = []
+        for f in free:
+            v = [zero] * self.cols
+            v[f] = one
+            for i, pc in enumerate(pivots):
+                v[pc] = -r.entry(i, f)
+            cols.append(v)
+        ents = tuple(cols[j][i] for i in range(self.cols) for j in range(len(free)))
+        return Matrix(self.cols, len(free), ents, self.field)
+
+    @cached_property
+    def cokernel_basis(self) -> Matrix:
+        """``left_nullspace_basis(self)``: the kernel basis of ``T``, as rows
+        in reduced form."""
+        return self.T.kernel_basis.transpose().echelon[0]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -255,7 +284,9 @@ def _rref_rows(rows: list[list], ncols: int,
 
 def _q_normalize(row: list[Fraction], c: int) -> list[Fraction]:
     piv = row[c]
-    return [x / piv for x in row]
+    if piv == 1:
+        return row
+    return [x / piv if x else x for x in row]
 
 
 def _q_eliminate(row: list[Fraction], prow: list[Fraction], c: int) -> list[Fraction]:
@@ -302,25 +333,17 @@ def nullspace_basis(m: Matrix) -> Matrix:
 
     Each basis vector sets its free variable to one and every other free
     variable to zero; columns are ordered by increasing free column index.
+    Computed once per matrix and kept as ``m.kernel_basis``.
     """
-    r, pivots, _ = m.echelon
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    zero, one = m.field.zero(), m.field.one()
-    cols: list[list[Scalar]] = []
-    for f in free:
-        v = [zero] * m.cols
-        v[f] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = -r.entry(i, f)
-        cols.append(v)
-    ents = tuple(cols[j][i] for i in range(m.cols) for j in range(len(free)))
-    return Matrix(m.cols, len(free), ents, m.field)
+    return m.kernel_basis
 
 
 def left_nullspace_basis(m: Matrix) -> Matrix:
-    """Canonical basis of ``{y : y @ m = 0}``, stacked as rows in rref form."""
-    return nullspace_basis(m.transpose()).transpose().echelon[0]
+    """Canonical basis of ``{y : y @ m = 0}``, stacked as rows in rref form.
+
+    Computed once per matrix and kept as ``m.cokernel_basis``.
+    """
+    return m.cokernel_basis
 
 
 def solve(m: Matrix, b: Matrix) -> Matrix | None:

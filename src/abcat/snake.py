@@ -24,7 +24,7 @@ categorical recipe, never by picking matrix representatives:
    the mono leg; the result is ``delta``.
 
 ``chase_delta`` is an independent oracle that never touches pullbacks or
-pushouts: it solves ``c x = k kappa`` for each kernel basis column, pushes
+pushouts: it solves ``c x = k`` for all kernel basis columns at once, pushes
 the solution through ``v``, solves against ``b``, and projects by ``p``.
 The two routes agree with one global sign fixed by the pushout's sign
 convention.
@@ -33,6 +33,7 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .category import (
     CokernelData,
@@ -54,7 +55,15 @@ from .constructions import (
     pushout,
 )
 from .errors import AbcatError, InternalCheckError
-from .linalg import Matrix, solve, solve_with_column_order
+from .linalg import solve, solve_with_column_order
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One failed input invariant, with a machine-checkable code."""
+
+    code: str
+    message: str
 
 
 @dataclass(frozen=True)
@@ -69,13 +78,51 @@ class SnakeInput:
     b: Mor
     d: Mor
 
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """All failed invariants of the ladder, structural ones first.
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed input invariant, with a machine-checkable code."""
+        When the shapes themselves are wrong, the dependent checks are
+        skipped.  Computed once per ladder, so the construction and the
+        chase share one validation.
+        """
+        found: list[Violation] = []
+        shapes = [
+            (self.c.src == self.a.dst, "c must start where a ends"),
+            (self.u.src == self.a.src, "u must share a source with a"),
+            (self.v.src == self.a.dst, "v must start at the middle of the top row"),
+            (self.w.src == self.c.dst, "w must start where c ends"),
+            (self.b.src == self.u.dst, "b must start where u ends"),
+            (self.b.dst == self.v.dst, "b must end where v ends"),
+            (self.d.src == self.v.dst, "d must start where v ends"),
+            (self.d.dst == self.w.dst, "d must end where w ends"),
+        ]
+        fields = {m.field for m in (self.a, self.c, self.u, self.v, self.w, self.b, self.d)}
+        if len(fields) != 1:
+            found.append(Violation("field_mismatch", "all maps must share one field"))
+        for ok, msg in shapes:
+            if not ok:
+                found.append(Violation("shape", msg))
+        if found:
+            return tuple(found)
 
-    code: str
-    message: str
+        res_k = self.v @ self.a - self.b @ self.u
+        if not res_k.is_zero:
+            found.append(Violation(
+                "square_K", f"left square does not commute, residual {res_k.mat}"))
+        res_l = self.d @ self.v - self.w @ self.c
+        if not res_l.is_zero:
+            found.append(Violation(
+                "square_L", f"right square does not commute, residual {res_l.mat}"))
+        if not is_exact_pair(self.a, self.c):
+            found.append(Violation("top_row_exact", "top row is not exact in the middle"))
+        if not self.c.is_epi:
+            found.append(Violation("c_epi", "c must be an epi (a cokernel of a)"))
+        if not is_exact_pair(self.b, self.d):
+            found.append(Violation("bottom_row_exact", "bottom row is not exact in the middle"))
+        if not self.b.is_mono:
+            found.append(Violation("b_mono", "b must be a mono (a kernel of d)"))
+        return tuple(found)
 
 
 class SnakeInputError(AbcatError):
@@ -126,47 +173,8 @@ class SnakeOutput:
 
 
 def violations(inp: SnakeInput) -> list[Violation]:
-    """All failed invariants of the ladder, structural ones first.
-
-    When the shapes themselves are wrong, the dependent checks are skipped.
-    """
-    found: list[Violation] = []
-    shapes = [
-        (inp.c.src == inp.a.dst, "c must start where a ends"),
-        (inp.u.src == inp.a.src, "u must share a source with a"),
-        (inp.v.src == inp.a.dst, "v must start at the middle of the top row"),
-        (inp.w.src == inp.c.dst, "w must start where c ends"),
-        (inp.b.src == inp.u.dst, "b must start where u ends"),
-        (inp.b.dst == inp.v.dst, "b must end where v ends"),
-        (inp.d.src == inp.v.dst, "d must start where v ends"),
-        (inp.d.dst == inp.w.dst, "d must end where w ends"),
-    ]
-    fields = {m.field for m in (inp.a, inp.c, inp.u, inp.v, inp.w, inp.b, inp.d)}
-    if len(fields) != 1:
-        found.append(Violation("field_mismatch", "all maps must share one field"))
-    for ok, msg in shapes:
-        if not ok:
-            found.append(Violation("shape", msg))
-    if found:
-        return found
-
-    res_k = inp.v @ inp.a - inp.b @ inp.u
-    if not res_k.is_zero:
-        found.append(Violation(
-            "square_K", f"left square does not commute, residual {res_k.mat}"))
-    res_l = inp.d @ inp.v - inp.w @ inp.c
-    if not res_l.is_zero:
-        found.append(Violation(
-            "square_L", f"right square does not commute, residual {res_l.mat}"))
-    if not is_exact_pair(inp.a, inp.c):
-        found.append(Violation("top_row_exact", "top row is not exact in the middle"))
-    if not inp.c.is_epi:
-        found.append(Violation("c_epi", "c must be an epi (a cokernel of a)"))
-    if not is_exact_pair(inp.b, inp.d):
-        found.append(Violation("bottom_row_exact", "bottom row is not exact in the middle"))
-    if not inp.b.is_mono:
-        found.append(Violation("b_mono", "b must be a mono (a kernel of d)"))
-    return found
+    """All failed invariants of the ladder: ``inp.violations`` as a list."""
+    return list(inp.violations)
 
 
 def validate(inp: SnakeInput) -> SnakeInput:
@@ -257,32 +265,25 @@ def snake_sequence(inp: SnakeInput) -> SnakeOutput:
 def chase_delta(inp: SnakeInput) -> Mor:
     """Element-chase oracle for the connecting morphism.
 
-    For each basis column of ``Ker w``: lift along ``c`` (free variables
+    All basis columns of ``Ker w`` at once: lift along ``c`` (free variables
     zeroed), apply ``v``, solve against the mono ``b``, and project by the
     cokernel of ``u``.  The result does not depend on the particular lift,
-    which is verified by re-solving with the unknowns in reverse order.
+    which is verified by lifting again with the unknowns in reverse order
+    and carrying both lifts side by side.
     """
     validate(inp)
-    k = kernel(inp.w).ker_mor
-    p = cokernel(inp.u).coker_mor
-    cols: list[Matrix] = []
+    k = kernel(inp.w).ker_mor.mat
+    p = cokernel(inp.u).coker_mor.mat
     reversed_order = list(reversed(range(inp.c.src.dim)))
-    for j in range(k.src.dim):
-        target = k.mat.col(j)
-        for order_tag, lifted in (
-            ("first", solve(inp.c.mat, target)),
-            ("reversed", solve_with_column_order(inp.c.mat, target, reversed_order)),
-        ):
-            if lifted is None:
-                raise InternalCheckError(f"epi c failed to lift a kernel column ({order_tag})")
-            carried = inp.v.mat @ lifted
-            pre = solve(inp.b.mat, carried)
-            if pre is None:
-                raise InternalCheckError("carried column missed the image of b")
-            out = p.mat @ pre
-            if order_tag == "first":
-                cols.append(out)
-            elif out != cols[-1]:
-                raise InternalCheckError("chase result depends on the lift choice")
-    out_mat = Matrix.from_rows(p.field, [c.entries for c in cols], cols=p.mat.rows)
-    return Mor(out_mat.transpose())
+    lifts = {"first": solve(inp.c.mat, k),
+             "reversed": solve_with_column_order(inp.c.mat, k, reversed_order)}
+    for order_tag, lifted in lifts.items():
+        if lifted is None:
+            raise InternalCheckError(f"epi c failed to lift a kernel column ({order_tag})")
+    pre = solve(inp.b.mat, inp.v.mat @ lifts["first"].hstack(lifts["reversed"]))
+    if pre is None:
+        raise InternalCheckError("carried column missed the image of b")
+    first, again = (p @ pre).split_cols(k.cols)
+    if again != first:
+        raise InternalCheckError("chase result depends on the lift choice")
+    return Mor(first)

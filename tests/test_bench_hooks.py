@@ -1,15 +1,17 @@
 """The benchmark's tracer patches abcat's public names from outside; a name
 it expects that no longer exists should fail here, not only in the bench."""
 
+import dataclasses
 import pathlib
 import sys
 
 import pytest
 
-from abcat import category
+from abcat import category, linalg, snake
 from abcat.category import Mor
 from abcat.fields import RATIONALS
 from abcat.linalg import Matrix
+from abcat.properties import worked_example_input
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -39,3 +41,26 @@ def test_tracer_counts_a_kernel(tracer_module):
     # uninstalled: the original functions are back
     assert category.kernel(Mor(Matrix.from_int_rows(RATIONALS, [[1, 1]]))).ker_obj.dim == 1
     assert tr.calls("category.kernel") == 1
+
+
+def test_tracer_counts_public_calls_that_read_cached_facts(tracer_module):
+    # kernels, cokernels and a ladder's violations are kept with their
+    # matrix or ladder; every public call still counts, the work only once
+    tr = tracer_module.Tracer()
+    f = Mor(Matrix.from_int_rows(RATIONALS, [[1, 2, 3], [2, 4, 6]]))
+    inp = dataclasses.replace(worked_example_input())  # a copy not validated yet
+    tr.install(counting=True)
+    try:
+        kernels = [category.kernel(f), category.kernel(f)]
+        after_kernels = {name: tr.calls(name) for name in
+                         ("category.kernel", "linalg.nullspace_basis", "linalg.rref")}
+        bases = [linalg.left_nullspace_basis(f.mat), linalg.left_nullspace_basis(f.mat)]
+        found = [snake.violations(inp), snake.violations(inp)]
+    finally:
+        tr.uninstall()
+    assert kernels[0] == kernels[1] and bases[0] is bases[1] and found == [[], []]
+    assert after_kernels == {"category.kernel": 2, "linalg.nullspace_basis": 2,
+                             "linalg.rref": 1}
+    assert tr.calls("linalg.left_nullspace_basis") == 2
+    assert tr.calls("snake.violations") == 2
+    assert tr.calls("constructions.is_exact_pair") == 2  # one validation: two rows

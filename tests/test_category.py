@@ -282,3 +282,23 @@ def test_one_echelon_form_per_matrix(monkeypatch):
     assert (f.rank, f.is_mono, f.is_epi, f.is_iso) == (2, False, False, False)
     assert kernel(f).ker_obj.dim == 1
     assert len(reductions) == 1
+
+
+def test_kernel_and_cokernel_bases_are_kept_per_matrix(monkeypatch):
+    reductions = []
+    reduce_rows = linalg._rref_rows
+
+    def counting(*args):
+        reductions.append(args)
+        return reduce_rows(*args)
+
+    monkeypatch.setattr(linalg, "_rref_rows", counting)
+    f = Mor.from_matrix(Matrix.from_int_rows(Q, [[1, 2, 3], [2, 4, 6]]))
+    first, second = kernel(f), kernel(f)
+    assert first.ker_mor.mat is second.ker_mor.mat
+    assert len(reductions) == 1  # the echelon form of f, nothing more
+    first, second = cokernel(f), cokernel(f)
+    assert first.coker_mor.mat is second.coker_mor.mat
+    # the echelon forms of f-transpose and of the basis found from it
+    assert len(reductions) == 3
+    assert first.coker_mor.mat == Matrix.from_int_rows(Q, [[1, Q.parse("-1/2")]])

@@ -244,9 +244,10 @@ def test_snake_wrong_kind(run):
     assert code == 2 and "expected a snake diagram" in err
 
 
-def test_snake_builds_delta_once_and_validates_twice(run, monkeypatch):
-    # one validation inside snake_sequence, one inside the chase oracle
-    calls = {"pullback": 0, "violations": 0}
+def test_snake_builds_delta_once_and_validates_once(run, monkeypatch):
+    # the construction and the chase oracle share the ladder's one validation:
+    # two exactness tests for its rows, four for the six-term sequence
+    calls = {"pullback": 0, "is_exact_pair": 0}
     for name in calls:
         def counting(*args, _name=name, _original=getattr(snake, name)):
             calls[_name] += 1
@@ -255,7 +256,7 @@ def test_snake_builds_delta_once_and_validates_twice(run, monkeypatch):
     code, out, _ = run("snake", str(GOLDEN / "worked_snake.json"), "--trace", "--oracle")
     assert code == 0
     assert out == (GOLDEN / "worked_snake_report.txt").read_text(encoding="utf-8")
-    assert calls["pullback"] == 1 and calls["violations"] <= 2
+    assert calls == {"pullback": 1, "is_exact_pair": 6}
 
 
 def test_square_decompose_analyses_once(run, monkeypatch):

@@ -188,3 +188,21 @@ def test_snake_kind_streams_are_isolated_from_pairs():
     f2, g2 = gen_exact_pair(cfg)
     assert (f, g) == (f2, g2)
     assert gen_snake_input(cfg) == inp
+
+
+@pytest.mark.parametrize("field", [Q, GF2, GF7])
+def test_snake_generator_reduces_a_transpose_once(field, monkeypatch):
+    # cokernel(a) and the middle vertical's draw share one echelon form of aᵀ
+    reduced = []
+
+    def recording(m):
+        reduced.append(m)
+        return real_rref(m)
+
+    real_rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", recording)
+    for seed in (1, 2, 5, 7, 8):  # ladders whose a is no empty matrix
+        reduced.clear()
+        inp = gen_snake_input(GenConfig(seed=seed, field=field, max_dim=5))
+        a_t = inp.a.mat.transpose()
+        assert sum(m == a_t for m in reduced) == 1, seed

@@ -394,3 +394,21 @@ def test_entries_from_another_prime_field_rejected():
         Matrix(1, 2, (GFElement(1, 7), GFElement(1, 5)), GF7)
     with pytest.raises(ShapeError):
         Matrix(1, 1, (Fraction(1),), GF7)
+
+
+def test_q_rref_divides_only_where_it_changes_something(monkeypatch):
+    # unit pivots are left as they are and zeros are never divided
+    divisions = []
+    truediv = Fraction.__truediv__
+
+    def counting(a, b):
+        divisions.append((a, b))
+        return truediv(a, b)
+
+    monkeypatch.setattr(Fraction, "__truediv__", counting)
+    eye = Matrix.identity(Q, 150)
+    assert rref(eye) == (eye, tuple(range(150)), 150)
+    assert divisions == []
+    got, pivots, _ = rref(qmat([[2, 0, 4], [0, 0, 3]]))
+    assert got == qmat([[1, 0, 0], [0, 0, 1]]) and pivots == (0, 2)
+    assert len(divisions) == 3  # the nonzero entries of the two non-unit pivot rows

@@ -14,7 +14,7 @@ from abcat import snake
 from abcat.category import Mor, Obj, identity, kernel, cokernel, zero_mor
 from abcat.errors import InternalCheckError
 from abcat.fields import RATIONALS, prime_field
-from abcat.linalg import Matrix
+from abcat.linalg import Matrix, solve, solve_with_column_order
 from abcat.properties import worked_example_input
 from abcat.snake import (
     SnakeInput,
@@ -28,6 +28,7 @@ from abcat.snake import (
 from abcat.diagrams import GenConfig, gen_snake_input
 
 Q = RATIONALS
+GF2 = prime_field(2)
 GF7 = prime_field(7)
 
 
@@ -236,3 +237,51 @@ def test_generated_ladders_chase_and_exactness_gf7(seed):
     delta, _ = connecting_morphism(inp)
     chased = chase_delta(inp)
     assert delta.mat == chased.mat or delta.mat == (-chased).mat
+
+
+# -- the chase, all kernel columns at once -----------------------------------------
+
+
+def _chase_by_columns(inp):
+    """The chase one kernel column at a time, with both lift orders."""
+    k = kernel(inp.w).ker_mor.mat
+    p = cokernel(inp.u).coker_mor.mat
+    reversed_order = list(reversed(range(inp.c.src.dim)))
+    cols = []
+    for j in range(k.cols):
+        outs = []
+        for lifted in (solve(inp.c.mat, k.col(j)),
+                       solve_with_column_order(inp.c.mat, k.col(j), reversed_order)):
+            outs.append(p @ solve(inp.b.mat, inp.v.mat @ lifted))
+        assert outs[0] == outs[1]
+        cols.append(outs[0].entries)
+    return Mor(Matrix.from_rows(p.field, cols, cols=p.rows).transpose())
+
+
+def _seeded_ladders():
+    for field in (Q, GF2, GF7):
+        for seed in range(1, 13):
+            for short in (False, True):
+                yield gen_snake_input(GenConfig(seed=seed, field=field, max_dim=4),
+                                      short_exact_rows=short)
+    yield _non_epi_d_ladder()
+
+
+def test_batched_chase_equals_the_column_by_column_chase(monkeypatch):
+    calls = {"solve": 0, "solve_with_column_order": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(snake, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(snake, name, counting)
+    ker_w_dims, coker_u_dims = set(), set()
+    for inp in _seeded_ladders():
+        ker_w_dims.add(kernel(inp.w).ker_obj.dim)
+        coker_u_dims.add(cokernel(inp.u).coker_obj.dim)
+        before = dict(calls)
+        got = chase_delta(inp)
+        # one lift per order, then one solve against b for both lifts together
+        assert calls == {"solve": before["solve"] + 2,
+                         "solve_with_column_order": before["solve_with_column_order"] + 1}
+        assert got == _chase_by_columns(inp)
+    assert {0, 1, 2} <= ker_w_dims and {0, 1, 2} <= coker_u_dims
