@@ -201,14 +201,12 @@ def epi_colift(e: Mor, t: Mor) -> Mor:
         raise PreconditionError(f"colift target is not an epi: {e}")
     if t.src != e.src:
         raise ShapeError(f"cannot colift {t.src}->{t.dst} through {e.src}->{e.dst}")
-    residual = t.mat @ nullspace_basis(e.mat)
-    if not residual.is_zero:
+    sol = solve(e.mat.transpose(), t.mat.transpose())
+    if sol is None:
+        residual = t.mat @ nullspace_basis(e.mat)
         raise PreconditionError(
             f"no colift: {t} does not vanish on the kernel of {e}, residual {residual}"
         )
-    sol = solve(e.mat.transpose(), t.mat.transpose())
-    if sol is None:
-        raise PreconditionError(f"no colift of {t} through {e}")
     return Mor(sol.transpose())
 
 

@@ -359,15 +359,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SnakeInputError as exc:
-        for v in exc.violations:
-            sys.stderr.write(f"violation: {v.code}: {v.message}\n")
-        return 2
     except (DiagramFormatError, PreconditionError, ShapeError,
             GenerationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except InternalCheckError as exc:
+    except (InternalCheckError, SnakeInputError) as exc:
+        # cmd_snake reports an invalid input ladder itself, so an invalid
+        # ladder that reaches here was built by the library
         sys.stderr.write(f"internal error (this is a bug): {exc}\n")
         return 3
 

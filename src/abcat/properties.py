@@ -4,13 +4,15 @@ seeded random instances.
 Each ``check_*`` function generates its own instances deterministically from
 a seed, verifies one family of laws, and returns a :class:`SuiteResult`
 with a case count, counters (how often an antecedent was hit, how the
-generated mix split), and the first few failures verbatim.  The CLI
-``selftest`` command and the acceptance tests both run these suites; the
+generated mix split), and the first few failures verbatim.  A case that
+raises is one more failure of its suite, never the end of the battery.  The
+CLI ``selftest`` command and the acceptance tests both run these suites; the
 suites themselves never import test frameworks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 from .category import (
@@ -76,7 +78,7 @@ class SuiteResult:
     """Outcome of one property suite."""
 
     name: str
-    cases: int
+    cases: int = 0
     failures: list[str] = dc_field(default_factory=list)
     counters: dict[str, int] = dc_field(default_factory=dict)
 
@@ -89,17 +91,6 @@ class SuiteResult:
         status = "ok" if self.ok else f"FAIL ({len(self.failures)} shown)"
         return f"{self.name}: {status} cases={self.cases}{extras}"
 
-
-class _Recorder:
-    def __init__(self, name: str):
-        self.name = name
-        self.cases = 0
-        self.failures: list[str] = []
-        self.counters: dict[str, int] = {}
-
-    def case(self) -> None:
-        self.cases += 1
-
     def bump(self, key: str, n: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + n
 
@@ -111,11 +102,19 @@ class _Recorder:
                 self.bump("suppressed_failures")
         return cond
 
-    def crash(self, i: int, exc: Exception) -> None:
-        self.check(False, f"case {i}: unexpected {type(exc).__name__}: {exc}")
 
-    def result(self) -> SuiteResult:
-        return SuiteResult(self.name, self.cases, self.failures, self.counters)
+def _run(name: str, cases: int,
+         case: Callable[[SuiteResult, int], None]) -> SuiteResult:
+    """Run ``case(rec, i)`` for ``i`` in ``range(cases)``.  A case that
+    raises is a failure of its suite, and the next case still runs."""
+    rec = SuiteResult(name)
+    for i in range(cases):
+        rec.cases += 1
+        try:
+            case(rec, i)
+        except Exception as exc:  # noqa: BLE001 - any crash is a finding
+            rec.check(False, f"case {i}: unexpected {type(exc).__name__}: {exc}")
+    return rec
 
 
 def _cfg(field: ScalarField, seed: int, max_dim: int = 4) -> GenConfig:
@@ -135,13 +134,10 @@ def _rand_square_universal(rng: SplitMix64, cfg: GenConfig) -> Square:
     return Square(pb.f @ e, pb.g @ e, right, bottom)
 
 
-def _pullback_square(rng: SplitMix64, cfg: GenConfig, right_mono: bool = False,
+def _pullback_square(rng: SplitMix64, cfg: GenConfig,
                      bottom_mono: bool = False) -> Square:
     dim_d = rand_dim(rng, cfg)
-    if right_mono:
-        c0 = rand_mono(rng, cfg, rng.below(dim_d + 1), dim_d)
-    else:
-        c0 = rand_mor(rng, cfg, rand_dim(rng, cfg), dim_d)
+    c0 = rand_mor(rng, cfg, rand_dim(rng, cfg), dim_d)
     if bottom_mono:
         d0 = rand_mono(rng, cfg, rng.below(dim_d + 1), dim_d)
     else:
@@ -150,17 +146,13 @@ def _pullback_square(rng: SplitMix64, cfg: GenConfig, right_mono: bool = False,
     return Square(pb.f, pb.g, c0, d0)
 
 
-def _pushout_square(rng: SplitMix64, cfg: GenConfig, top_epi: bool = False,
-                    left_epi: bool = False) -> Square:
+def _pushout_square(rng: SplitMix64, cfg: GenConfig, top_epi: bool = False) -> Square:
     dim_a = rand_dim(rng, cfg)
     if top_epi:
         f0 = rand_epi(rng, cfg, dim_a, rng.below(dim_a + 1))
     else:
         f0 = rand_mor(rng, cfg, dim_a, rand_dim(rng, cfg))
-    if left_epi:
-        g0 = rand_epi(rng, cfg, dim_a, rng.below(dim_a + 1))
-    else:
-        g0 = rand_mor(rng, cfg, dim_a, rand_dim(rng, cfg))
+    g0 = rand_mor(rng, cfg, dim_a, rand_dim(rng, cfg))
     po = pushout(f0, g0)
     return Square(f0, g0, po.r, po.s)
 
@@ -258,11 +250,9 @@ def _rand_vertical(rng: SplitMix64, cfg: GenConfig) -> Mor:
 # exact linear algebra self-consistency
 
 def check_linalg(cases: int, seed: int, field: ScalarField) -> SuiteResult:
-    rec = _Recorder(f"linalg[{field}]")
     rng = SplitMix64(seed).derive(10)
     cfg = _cfg(field, seed, max_dim=5)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         m = rand_matrix(rng, cfg, rand_dim(rng, cfg), rand_dim(rng, cfg))
         r, pivots, rnk = rref(m)
         rec.check(rref(r)[0] == r, f"case {i}: rref not idempotent")
@@ -277,7 +267,7 @@ def check_linalg(cases: int, seed: int, field: ScalarField) -> SuiteResult:
         x = solve(m, b)
         if rec.check(x is not None, f"case {i}: consistent system declared unsolvable"):
             rec.check(m @ x == b, f"case {i}: solve returned a non-solution")
-    return rec.result()
+    return _run(f"linalg[{field}]", cases, case)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +285,9 @@ def _alt_factorize(f: Mor) -> Factorization:
 
 
 def check_factorization(cases: int, seed: int, field: ScalarField) -> SuiteResult:
-    rec = _Recorder(f"foundations.factorization[{field}]")
     rng = SplitMix64(seed).derive(11)
     cfg = _cfg(field, seed, max_dim=5)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         f = _rand_vertical(rng, cfg)
         can = epi_mono_factorize(f)
         rec.check(can.mono_m @ can.epi_q == f, f"case {i}: factors do not compose to f")
@@ -314,17 +302,15 @@ def check_factorization(cases: int, seed: int, field: ScalarField) -> SuiteResul
                   f"case {i}: comparison does not intertwine the epi parts")
         rec.check(same_subobject(can.mono_m, alt.mono_m),
                   f"case {i}: the two images differ as subobjects")
-    return rec.result()
+    return _run(f"foundations.factorization[{field}]", cases, case)
 
 
 def check_lemma_kernel_cokernel(cases: int, seed: int, field: ScalarField) -> SuiteResult:
     """Epis are cokernels of their kernels; monos are kernels of their
     cokernels."""
-    rec = _Recorder(f"foundations.kernel_cokernel[{field}]")
     rng = SplitMix64(seed).derive(12)
     cfg = _cfg(field, seed, max_dim=5)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         dim_b = rand_dim(rng, cfg)
         q = rand_epi(rng, cfg, dim_b + rng.below(3), dim_b)
         n = kernel(q).ker_mor
@@ -333,17 +319,15 @@ def check_lemma_kernel_cokernel(cases: int, seed: int, field: ScalarField) -> Su
         m = rand_mono(rng, cfg, dim_a, dim_a + rng.below(3))
         p = cokernel(m).coker_mor
         rec.check(is_kernel_of(m, p), f"case {i}: mono is not a kernel of its cokernel")
-    return rec.result()
+    return _run(f"foundations.kernel_cokernel[{field}]", cases, case)
 
 
 def check_quotient_stability(cases: int, seed: int, field: ScalarField) -> SuiteResult:
     """Precomposing with an epi keeps the cokernel; postcomposing with a
     mono keeps the kernel, canonically on the nose."""
-    rec = _Recorder(f"foundations.quotient_stability[{field}]")
     rng = SplitMix64(seed).derive(13)
     cfg = _cfg(field, seed, max_dim=4)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         dim_b = rand_dim(rng, cfg)
         e = rand_epi(rng, cfg, dim_b + rng.below(3), dim_b)
         f = rand_mor(rng, cfg, dim_b, rand_dim(rng, cfg))
@@ -358,17 +342,15 @@ def check_quotient_stability(cases: int, seed: int, field: ScalarField) -> Suite
                   f"case {i}: kernel changed under mono postcomposition")
         rec.check(is_kernel_of(kernel(g).ker_mor, m @ g),
                   f"case {i}: kernel comparison not iso under mono postcomposition")
-    return rec.result()
+    return _run(f"foundations.quotient_stability[{field}]", cases, case)
 
 
 def check_kernel_restriction(cases: int, seed: int, field: ScalarField) -> SuiteResult:
     """If b @ a embeds the kernel of c and b is mono, then a embeds the
     kernel of c @ b."""
-    rec = _Recorder(f"foundations.kernel_restriction[{field}]")
     rng = SplitMix64(seed).derive(14)
     cfg = _cfg(field, seed, max_dim=4)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         dim_b = rand_dim(rng, cfg)
         c0 = rand_mor(rng, cfg, dim_b, rand_dim(rng, cfg))
         k = kernel(c0).ker_mor
@@ -381,19 +363,17 @@ def check_kernel_restriction(cases: int, seed: int, field: ScalarField) -> Suite
                 break
         if b is None:
             rec.bump("mono_padding_skipped")
-            continue
+            return
         a = mono_lift(b, k)
         rec.check(is_kernel_of(a, c0 @ b),
                   f"case {i}: restricted map is not the kernel of c after b")
-    return rec.result()
+    return _run(f"foundations.kernel_restriction[{field}]", cases, case)
 
 
 def check_mono_epi_iso(cases: int, seed: int, field: ScalarField) -> SuiteResult:
-    rec = _Recorder(f"foundations.mono_epi_iso[{field}]")
     rng = SplitMix64(seed).derive(15)
     cfg = _cfg(field, seed, max_dim=5)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         f = _rand_vertical(rng, cfg)
         rec.check(f.is_iso == (f.is_mono and f.is_epi),
                   f"case {i}: iso flag disagrees with mono+epi")
@@ -402,15 +382,13 @@ def check_mono_epi_iso(cases: int, seed: int, field: ScalarField) -> SuiteResult
             inv = mono_lift(f, identity(f.dst))
             rec.check(f @ inv == identity(f.dst) and inv @ f == identity(f.src),
                       f"case {i}: two-sided inverse failed")
-    return rec.result()
+    return _run(f"foundations.mono_epi_iso[{field}]", cases, case)
 
 
 def check_biproduct(cases: int, seed: int, field: ScalarField) -> SuiteResult:
-    rec = _Recorder(f"foundations.biproduct[{field}]")
     rng = SplitMix64(seed).derive(16)
     cfg = _cfg(field, seed, max_dim=5)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         a = Obj(rand_dim(rng, cfg), field)
         b = Obj(rand_dim(rng, cfg), field)
         bp = biproduct(a, b)
@@ -420,17 +398,15 @@ def check_biproduct(cases: int, seed: int, field: ScalarField) -> SuiteResult:
         rec.check(bp.proj_q @ bp.ins_j == identity(b), f"case {i}: q j != 1")
         rec.check(bp.ins_i @ bp.proj_p + bp.ins_j @ bp.proj_q == identity(bp.sum_obj),
                   f"case {i}: i p + j q != 1")
-    return rec.result()
+    return _run(f"foundations.biproduct[{field}]", cases, case)
 
 
 def check_universal_lifts(cases: int, seed: int, field: ScalarField) -> SuiteResult:
     """Kernel/cokernel lifts and pullback/pushout (co)lifts hit their
     defining identities and are unique."""
-    rec = _Recorder(f"foundations.universal_lifts[{field}]")
     rng = SplitMix64(seed).derive(17)
     cfg = _cfg(field, seed, max_dim=4)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         u = _rand_vertical(rng, cfg)
         kd = kernel(u)
         t = kd.ker_mor @ rand_mor(rng, cfg, rand_dim(rng, cfg), kd.ker_obj.dim)
@@ -462,7 +438,7 @@ def check_universal_lifts(cases: int, seed: int, field: ScalarField) -> SuiteRes
                   f"case {i}: (f, coker f) not exact")
         rec.check(is_exact_pair(kernel(f0).ker_mor, f0),
                   f"case {i}: (ker f, f) not exact")
-    return rec.result()
+    return _run(f"foundations.universal_lifts[{field}]", cases, case)
 
 
 # ---------------------------------------------------------------------------
@@ -494,19 +470,13 @@ def _mixed_square(rng: SplitMix64, cfg: GenConfig,
 def check_square_equivalence(cases: int, seed: int, field: ScalarField) -> SuiteResult:
     """The four semi-cartesian conditions agree on a mixed population, and
     the analysis arrows satisfy their defining identities."""
-    rec = _Recorder(f"squares.equivalence[{field}]")
     rng = SplitMix64(seed).derive(20)
     cfg = _cfg(field, seed, max_dim=4)
-    for i in range(cases):
-        rec.case()
-        try:
-            # first sweep covers every family once; after that, draw at random
-            forced = _MIX_MODES[i] if i < len(_MIX_MODES) else None
-            mode, sq = _mixed_square(rng, cfg, mode=forced)
-            res = analyze(sq)  # cross-asserts (i)-(iv) internally
-        except Exception as exc:  # noqa: BLE001 - any crash is a finding
-            rec.crash(i, exc)
-            continue
+    def case(rec: SuiteResult, i: int) -> None:
+        # first sweep covers every family once; after that, draw at random
+        forced = _MIX_MODES[i] if i < len(_MIX_MODES) else None
+        mode, sq = _mixed_square(rng, cfg, mode=forced)
+        res = analyze(sq)  # cross-asserts (i)-(iv) internally
         rec.bump("semicartesian" if res.is_semicartesian else "not_semicartesian")
         rec.check(res.cond_i == res.cond_ii == res.cond_iii == res.cond_iv,
                   f"case {i} [{mode}]: conditions disagree")
@@ -517,21 +487,20 @@ def check_square_equivalence(cases: int, seed: int, field: ScalarField) -> Suite
         if res.is_cartesian or res.is_cocartesian:
             rec.check(res.is_semicartesian,
                       f"case {i} [{mode}]: (co)cartesian but not semi-cartesian")
+    rec = _run(f"squares.equivalence[{field}]", cases, case)
     if cases >= len(_MIX_MODES):
         for side in ("semicartesian", "not_semicartesian"):
             rec.check(rec.counters.get(side, 0) > 0,
                       f"mixed population never hit {side}")
-    return rec.result()
+    return rec
 
 
 def check_square_mono_epi(cases: int, seed: int, field: ScalarField) -> SuiteResult:
     """Semi-cartesian with mono top: bottom mono and square cartesian.
     Semi-cartesian with epi bottom: top epi and square cocartesian."""
-    rec = _Recorder(f"squares.mono_epi[{field}]")
     rng = SplitMix64(seed).derive(21)
     cfg = _cfg(field, seed, max_dim=4)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         kind = i % 3
         if kind == 0:
             # mono bottom pulls back to a mono top: a guaranteed antecedent
@@ -544,7 +513,7 @@ def check_square_mono_epi(cases: int, seed: int, field: ScalarField) -> SuiteRes
         res = analyze(sq)
         if not res.is_semicartesian:
             rec.bump("skipped_not_semicartesian")
-            continue
+            return
         if sq.top.is_mono:
             rec.bump("mono_top_hits")
             rec.check(sq.bottom.is_mono,
@@ -557,21 +526,20 @@ def check_square_mono_epi(cases: int, seed: int, field: ScalarField) -> SuiteRes
                       f"case {i}: epi bottom but top not epi")
             rec.check(res.is_cocartesian,
                       f"case {i}: epi bottom but square not cocartesian")
+    rec = _run(f"squares.mono_epi[{field}]", cases, case)
     floor = max(1, cases // 3)
     rec.check(rec.counters.get("mono_top_hits", 0) >= floor, "too few mono-top hits")
     rec.check(rec.counters.get("epi_bottom_hits", 0) >= floor, "too few epi-bottom hits")
-    return rec.result()
+    return rec
 
 
 def check_square_composition(cases: int, seed: int, field: ScalarField) -> SuiteResult:
     """Closure under horizontal composition, both cancellation laws (via
     their contrapositives on constructed families), and the two
     cocartesian/cartesian transfer equivalences."""
-    rec = _Recorder(f"squares.composition[{field}]")
     rng = SplitMix64(seed).derive(22)
     cfg = _cfg(field, seed, max_dim=3)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         v = _rand_vertical(rng, cfg)
 
         # closure: semi-cartesian o semi-cartesian is semi-cartesian
@@ -616,15 +584,13 @@ def check_square_composition(cases: int, seed: int, field: ScalarField) -> Suite
         lhs = analyze(compose_h(k5, l5)).is_semicartesian
         rhs = analyze(k5).is_semicartesian
         rec.check(lhs == rhs, f"case {i}: cartesian-L transfer failed")
-    return rec.result()
+    return _run(f"squares.composition[{field}]", cases, case)
 
 
 def check_decomposition(cases: int, seed: int, field: ScalarField) -> SuiteResult:
-    rec = _Recorder(f"squares.decomposition[{field}]")
     rng = SplitMix64(seed).derive(23)
     cfg = _cfg(field, seed, max_dim=4)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         pick = i % 4
         if pick == 0:
             sq = _square_right(rng, cfg, _rand_vertical(rng, cfg), "epi")
@@ -645,17 +611,15 @@ def check_decomposition(cases: int, seed: int, field: ScalarField) -> SuiteResul
                   f"case {i}: second factor not cartesian")
         rec.check(compose_h(first, second) == sq,
                   f"case {i}: factors do not recompose to the square")
-    return rec.result()
+    return _run(f"squares.decomposition[{field}]", cases, case)
 
 
 def check_kernel_cokernel_squares(cases: int, seed: int, field: ScalarField) -> SuiteResult:
     """Componentwise kernel and cokernel squares: the four implications,
     plus the componentwise kernel/cokernel property itself."""
-    rec = _Recorder(f"squares.kernel_cokernel[{field}]")
     rng = SplitMix64(seed).derive(24)
     cfg = _cfg(field, seed, max_dim=4)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
 
         # (a) mono right vertical makes the kernel square cartesian
         dim_d = rand_dim(rng, cfg)
@@ -688,7 +652,7 @@ def check_kernel_cokernel_squares(cases: int, seed: int, field: ScalarField) -> 
                           "mono" if rng.below(2) else "iso")
         rec.check(cokernel_square(kd).right.is_mono,
                   f"case {i}: semi-cartesian but cokernel comparison not mono")
-    return rec.result()
+    return _run(f"squares.kernel_cokernel[{field}]", cases, case)
 
 
 # ---------------------------------------------------------------------------
@@ -698,11 +662,9 @@ def check_transport(cases: int, seed: int, field: ScalarField) -> SuiteResult:
     """Across a composable pair of squares with the second semi-cartesian:
     an exact top row with vanishing bottom composite forces the bottom row
     exact; dually with the first square semi-cartesian."""
-    rec = _Recorder(f"transport[{field}]")
     rng = SplitMix64(seed).derive(25)
     cfg = _cfg(field, seed, max_dim=3)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
 
         # forward: L semi-cartesian, (a, c) exact, d b = 0  =>  (b, d) exact
         dim_b = rand_dim(rng, cfg)
@@ -744,7 +706,7 @@ def check_transport(cases: int, seed: int, field: ScalarField) -> SuiteResult:
         c1 = gamma @ qa.coker_mor
         wt = solve(c1.mat.transpose(), ((d0 @ v1).mat).transpose())
         if not rec.check(wt is not None, f"case {i}: dual setup right vertical missing"):
-            continue
+            return
         w1 = Mor(wt.transpose())
         lsq2 = Square(c1, v1, w1, d0)
         rec.check(analyze(ksq2).is_semicartesian, f"case {i}: dual setup K not semi-cartesian")
@@ -754,16 +716,14 @@ def check_transport(cases: int, seed: int, field: ScalarField) -> SuiteResult:
                   f"case {i}: dual setup L does not commute")
         rec.check(is_exact_pair(a1, c1), f"case {i}: top row failed to become exact")
         rec.bump("dual")
-    return rec.result()
+    return _run(f"transport[{field}]", cases, case)
 
 
 def check_ker_coker_exactness(cases: int, seed: int, field: ScalarField) -> SuiteResult:
     """On ladders with short exact rows: kernels stay left-exact, cokernels
     stay right-exact, and the alternating dimension sum vanishes."""
-    rec = _Recorder(f"ker_coker_exactness[{field}]")
     base = SplitMix64(seed).derive(26)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         cfg = GenConfig(seed=base.next_u64(), field=field, max_dim=4)
         inp = gen_snake_input(cfg, short_exact_rows=True)
         out = snake_sequence(inp)
@@ -775,7 +735,7 @@ def check_ker_coker_exactness(cases: int, seed: int, field: ScalarField) -> Suit
                 - out.coker_u.coker_obj.dim + out.coker_v.coker_obj.dim
                 - out.coker_w.coker_obj.dim)
         rec.check(dims == 0, f"case {i}: alternating dimension sum {dims} != 0")
-    return rec.result()
+    return _run(f"ker_coker_exactness[{field}]", cases, case)
 
 
 # ---------------------------------------------------------------------------
@@ -784,10 +744,8 @@ def check_ker_coker_exactness(cases: int, seed: int, field: ScalarField) -> Suit
 def check_snake(cases: int, seed: int, field: ScalarField) -> SuiteResult:
     """Six-term exactness, naturality of the induced maps, trace identities,
     and the dimension audit on generated ladders."""
-    rec = _Recorder(f"snake[{field}]")
     base = SplitMix64(seed).derive(27)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         cfg = GenConfig(seed=base.next_u64(), field=field, max_dim=4)
         inp = gen_snake_input(cfg, short_exact_rows=(i % 5 == 0))
         out = snake_sequence(inp)
@@ -814,8 +772,9 @@ def check_snake(cases: int, seed: int, field: ScalarField) -> SuiteResult:
         if inp.a.is_mono and inp.d.is_epi:
             rec.bump("short_exact_rows")
             rec.check(dims == 0, f"case {i}: short exact rows but sum {dims} != 0")
+    rec = _run(f"snake[{field}]", cases, case)
     rec.check(rec.counters.get("delta_nonzero", 0) > 0, "delta was always zero")
-    return rec.result()
+    return rec
 
 
 def _pin_ladder(field: ScalarField) -> SnakeInput:
@@ -837,10 +796,8 @@ def check_snake_oracle(cases: int, seed: int, field: ScalarField) -> SuiteResult
     agree up to one global sign, pinned by whichever instances have a
     nonzero connecting morphism.  Case 0 is a fixed ladder whose connecting
     morphism is nonzero, so the sign is always pinned at least once."""
-    rec = _Recorder(f"snake.oracle[{field}]")
     base = SplitMix64(seed).derive(28)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         if i == 0:
             inp = _pin_ladder(field)
         else:
@@ -857,12 +814,13 @@ def check_snake_oracle(cases: int, seed: int, field: ScalarField) -> SuiteResult
             rec.bump("pinned_minus")
         else:
             rec.check(False, f"case {i}: delta differs from chase by more than a sign")
+    rec = _run(f"snake.oracle[{field}]", cases, case)
     plus = rec.counters.get("pinned_plus", 0)
     minus = rec.counters.get("pinned_minus", 0)
     rec.check(plus == 0 or minus == 0,
               f"global sign is not constant: +{plus} / -{minus}")
     rec.check(plus + minus > 0, "no instance pinned the global sign")
-    return rec.result()
+    return rec
 
 
 def worked_example_input() -> SnakeInput:
@@ -875,29 +833,27 @@ def worked_example_input() -> SnakeInput:
 def check_worked_example() -> SuiteResult:
     """Frozen expectations for the worked ladder: boundary map ranks
     (1, 0, 1, 0, 1), invertible connecting morphism, full exactness."""
-    rec = _Recorder("snake.worked_example")
-    rec.case()
-    inp = worked_example_input()
-    out = snake_sequence(inp)
-    got = (out.s.rank, out.t.rank, out.delta.rank, out.x.rank, out.y.rank)
-    rec.check(got == (1, 0, 1, 0, 1), f"ranks {got} != (1, 0, 1, 0, 1)")
-    rec.check(out.delta.is_iso, "connecting morphism is not invertible")
-    rec.check(all(out.exact_report), f"exactness report {out.exact_report}")
-    chased = chase_delta(inp)
-    rec.check(out.delta == chased or out.delta == -chased,
-              "worked example: chase disagrees beyond a sign")
-    return rec.result()
+    def case(rec: SuiteResult, i: int) -> None:
+        inp = worked_example_input()
+        out = snake_sequence(inp)
+        got = (out.s.rank, out.t.rank, out.delta.rank, out.x.rank, out.y.rank)
+        rec.check(got == (1, 0, 1, 0, 1), f"ranks {got} != (1, 0, 1, 0, 1)")
+        rec.check(out.delta.is_iso, "connecting morphism is not invertible")
+        rec.check(all(out.exact_report), f"exactness report {out.exact_report}")
+        chased = chase_delta(inp)
+        rec.check(out.delta == chased or out.delta == -chased,
+                  "worked example: chase disagrees beyond a sign")
+    return _run("snake.worked_example", 1, case)
 
 
 # ---------------------------------------------------------------------------
 # generators
 
 def check_generator_determinism(cases: int, seed: int, field: ScalarField) -> SuiteResult:
-    rec = _Recorder(f"generators.determinism[{field}]")
     rng = SplitMix64(seed).derive(29)
     saw_difference = False
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
+        nonlocal saw_difference
         s = rng.next_u64()
         cfg1 = GenConfig(seed=s, field=field, max_dim=4)
         cfg2 = GenConfig(seed=s, field=field, max_dim=4)
@@ -915,16 +871,15 @@ def check_generator_determinism(cases: int, seed: int, field: ScalarField) -> Su
         other = GenConfig(seed=s + 1, field=field, max_dim=4)
         if gen_morphism(other) != gen_morphism(cfg1):
             saw_difference = True
+    rec = _run(f"generators.determinism[{field}]", cases, case)
     rec.check(saw_difference, "neighboring seeds never produced different output")
-    return rec.result()
+    return rec
 
 
 def check_generator_validity(cases: int, seed: int, field: ScalarField) -> SuiteResult:
     """Generated objects really have their advertised structure."""
-    rec = _Recorder(f"generators.validity[{field}]")
     rng = SplitMix64(seed).derive(30)
-    for i in range(cases):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         s = rng.next_u64()
         cfg = GenConfig(seed=s, field=field, max_dim=4)
         f, g = gen_exact_pair(cfg)
@@ -939,26 +894,25 @@ def check_generator_validity(cases: int, seed: int, field: ScalarField) -> Suite
                   f"case {i}: deficient variant is semi-cartesian")
         inp = gen_snake_input(cfg)  # validate() runs inside
         rec.check(inp.c.is_epi and inp.b.is_mono, f"case {i}: snake rows malformed")
-    return rec.result()
+    return _run(f"generators.validity[{field}]", cases, case)
 
 
 def check_generator_coverage(samples: int, seed: int, field: ScalarField) -> SuiteResult:
     """Over generated snake ladders at the default size, both regimes
     (zero and nonzero connecting morphism) each cover at least 10%."""
-    rec = _Recorder(f"generators.coverage[{field}]")
     base = SplitMix64(seed).derive(31)
-    for _ in range(samples):
-        rec.case()
+    def case(rec: SuiteResult, i: int) -> None:
         cfg = GenConfig(seed=base.next_u64(), field=field, max_dim=5)
         inp = gen_snake_input(cfg)
         delta, _ = connecting_morphism(inp)
         rec.bump("delta_nonzero" if not delta.is_zero else "delta_zero")
+    rec = _run(f"generators.coverage[{field}]", samples, case)
     floor = samples // 10
     rec.check(rec.counters.get("delta_nonzero", 0) >= floor,
               f"fewer than 10% nonzero connecting morphisms in {samples} samples")
     rec.check(rec.counters.get("delta_zero", 0) >= floor,
               f"fewer than 10% zero connecting morphisms in {samples} samples")
-    return rec.result()
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -969,27 +923,19 @@ def run_selftest(cases: int = 200, seed: int = 1,
                  ) -> list[SuiteResult]:
     """Run every suite on every requested field.  ``cases`` scales the
     per-suite counts; the acceptance thresholds live in the test suite."""
-    results: list[SuiteResult] = []
     small = max(5, cases // 4)
-    for fld in fields:
-        results.append(check_linalg(cases, seed, fld))
-        results.append(check_factorization(cases, seed, fld))
-        results.append(check_lemma_kernel_cokernel(cases, seed, fld))
-        results.append(check_quotient_stability(cases, seed, fld))
-        results.append(check_kernel_restriction(cases, seed, fld))
-        results.append(check_mono_epi_iso(cases, seed, fld))
-        results.append(check_biproduct(cases, seed, fld))
-        results.append(check_universal_lifts(cases, seed, fld))
-        results.append(check_square_equivalence(cases, seed, fld))
-        results.append(check_square_mono_epi(cases, seed, fld))
-        results.append(check_square_composition(small, seed, fld))
-        results.append(check_decomposition(small, seed, fld))
-        results.append(check_kernel_cokernel_squares(small, seed, fld))
-        results.append(check_transport(small, seed, fld))
-        results.append(check_ker_coker_exactness(small, seed, fld))
-        results.append(check_snake(small, seed, fld))
-        results.append(check_snake_oracle(small, seed, fld))
-        results.append(check_generator_determinism(max(5, cases // 10), seed, fld))
-        results.append(check_generator_validity(max(5, cases // 10), seed, fld))
-    results.append(check_worked_example())
-    return results
+    tiny = max(5, cases // 10)
+    battery = (
+        (check_linalg, cases), (check_factorization, cases),
+        (check_lemma_kernel_cokernel, cases), (check_quotient_stability, cases),
+        (check_kernel_restriction, cases), (check_mono_epi_iso, cases),
+        (check_biproduct, cases), (check_universal_lifts, cases),
+        (check_square_equivalence, cases), (check_square_mono_epi, cases),
+        (check_square_composition, small), (check_decomposition, small),
+        (check_kernel_cokernel_squares, small), (check_transport, small),
+        (check_ker_coker_exactness, small), (check_snake, small),
+        (check_snake_oracle, small),
+        (check_generator_determinism, tiny), (check_generator_validity, tiny),
+    )
+    results = [check(n, seed, fld) for fld in fields for check, n in battery]
+    return results + [check_worked_example()]

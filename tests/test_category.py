@@ -184,7 +184,7 @@ def test_epi_colift_rejects_non_epi_and_kernel_violation():
         epi_colift(not_epi, identity(not_epi.src))
     e = qmor([[1, 1]])
     t = qmor([[1, 0]])  # does not kill (-1, 1)^t
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="does not vanish on the kernel"):
         epi_colift(e, t)
     with pytest.raises(ShapeError):
         epi_colift(e, qmor([[1]]))  # wrong domain

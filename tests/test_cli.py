@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from abcat import cli, snake, squares
+from abcat import cli, diagrams, properties, snake, squares
 from abcat.category import Mor, Obj, zero_mor
 from abcat.cli import main
 from abcat.diagram_io import (
@@ -20,7 +20,7 @@ from abcat.diagram_io import (
     serialize,
 )
 from abcat.diagrams import GenConfig, gen_semicartesian
-from abcat.errors import InternalCheckError
+from abcat.errors import InternalCheckError, PreconditionError
 from abcat.fields import RATIONALS
 from abcat.linalg import Matrix
 
@@ -376,6 +376,21 @@ def test_gen_snake_at_the_max_dim_cap_finishes(run):
     assert time.perf_counter() - start < 60
 
 
+def test_gen_reports_a_self_built_invalid_ladder_as_a_bug(run, monkeypatch):
+    original = diagrams.cokernel_colift
+
+    def wrong_w(cd, t):
+        w = original(cd, t)
+        ones = Matrix.from_int_rows(Q, [[1] * w.mat.cols] * w.mat.rows, w.mat.cols)
+        return Mor(w.mat + ones)
+
+    monkeypatch.setattr(diagrams, "cokernel_colift", wrong_w)
+    code, out, err = run("gen", "--kind", "snake", "--seed", "2", "--field", "q")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error (this is a bug): "
+                          "right square does not commute, residual ")
+
+
 def test_readme_session_replays_byte_for_byte(run, tmp_path):
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     gen_cmd = "$ abcat gen --kind snake --seed 5 --field gf:7 > ladder.json\n"
@@ -415,6 +430,34 @@ def test_selftest_repeatable_field_flag(run):
                        "--field", "q", "--field", "gf:5")
     assert code == 0
     assert "[Q]" in out and "[GF(5)]" in out
+
+
+def test_selftest_matches_golden_bytes(run):
+    code, out, err = run("selftest", "--cases", "20", "--seed", "1")
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "selftest_cases20_seed1.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, exc, suite, cases", [
+    ("epi_mono_factorize", PreconditionError("injected"), "foundations.factorization[Q]", 4),
+    ("gen_snake_input", ZeroDivisionError("injected"), "ker_coker_exactness[Q]", 5),
+])
+def test_selftest_reports_a_raising_case_and_runs_on(run, monkeypatch, name, exc, suite, cases):
+    args = ("selftest", "--cases", "4", "--seed", "3", "--field", "q")
+    _, clean, _ = run(*args)
+
+    def raising(*_args, **_kwargs):
+        raise exc
+
+    monkeypatch.setattr(properties, name, raising)
+    code, out, err = run(*args)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert f"{suite}: FAIL ({cases} shown) cases={cases}" in lines
+    assert f"  {suite}: case 0: unexpected {type(exc).__name__}: injected" in lines
+    # every suite still reports, in the same order
+    reported = [line.split(": ")[0] for line in lines if not line.startswith(" ")]
+    assert reported == [line.split(": ")[0] for line in clean.splitlines()]
 
 
 def test_internal_check_failure_is_exit_three(run, tmp_path, monkeypatch):
