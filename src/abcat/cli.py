@@ -51,8 +51,11 @@ def _field_arg(text: str) -> ScalarField:
     if low == "q":
         return RATIONALS
     if low.startswith("gf:"):
+        digits = low[3:]  # ASCII only, as in diagram files; int() takes more
+        if not (digits.isascii() and digits.isdigit()):
+            raise argparse.ArgumentTypeError(f"P in gf:P must be ASCII digits: {text!r}")
         try:
-            return prime_field(int(low[3:]))
+            return prime_field(int(digits))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
     raise argparse.ArgumentTypeError(f"unknown field {text!r}; use q or gf:P")

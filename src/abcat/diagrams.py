@@ -223,10 +223,10 @@ def _rand_intertwiner(rng: SplitMix64, cfg: GenConfig, d: Mor, a: Mor) -> Mor:
     free = [cell for cell in cells if cell not in bound]
     v = dict(zip(free, rand_matrix(rng, cfg, len(free), 1).entries))
     coeffs = Matrix(n_b2, n_b, tuple(v.get(cell, fld.zero()) for cell in cells), fld)
-    solved = r_d.split_rows(rank_d)[0] @ coeffs @ r_t.split_rows(rank_t)[0].transpose()
+    solved = -(r_d.split_rows(rank_d)[0] @ coeffs @ r_t.split_rows(rank_t)[0].transpose())
     for i, p in enumerate(piv_d):
         for l, q in enumerate(piv_t):
-            v[p, q] = -solved.entry(i, l)
+            v[p, q] = solved.entry(i, l)
     return Mor(Matrix(n_b2, n_b, tuple(v[cell] for cell in cells), fld))
 
 

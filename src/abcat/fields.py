@@ -2,9 +2,10 @@
 
 Rational scalars are stdlib :class:`fractions.Fraction` values, which are
 always stored gcd-reduced with a positive denominator.  Prime-field scalars
-are :class:`GFElement` residues kept in the canonical range ``[0, p)``.  Both
-kinds are immutable, hashable, and support ``+ - * /``, unary minus, and
-truthiness (zero is falsy), which is everything the matrix layer relies on.
+are plain ``int`` residues in the canonical range ``[0, p)``; the field, not
+the scalar, knows ``p``, so the matrix layer reduces mod ``p`` after each
+operation.  :class:`GFElement` is a standalone residue type that carries its
+modulus and does that reduction itself; no matrix stores one.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GFElement:
-    """A residue modulo a prime, canonicalized into ``[0, p)`` on creation."""
+    """A standalone residue mod ``p``, kept in ``[0, p)``; no ``Matrix`` holds one."""
 
     value: int
     p: int
@@ -89,15 +90,16 @@ class GFElement:
         return str(self.value)
 
 
-Scalar = Union[Fraction, GFElement]
+Scalar = Union[Fraction, int]
 
 
 @dataclass(frozen=True)
 class ScalarField:
     """The rationals when ``p`` is None, otherwise the prime field mod ``p``.
 
-    The field object creates, parses, and formats scalars; arithmetic happens
-    on the scalar values themselves.
+    The field object creates, parses, and formats scalars.  Rationals do
+    their own arithmetic; prime-field scalars are ``int`` residues in
+    ``[0, p)``, which callers reduce mod ``p`` after arithmetic.
     """
 
     p: int | None = None
@@ -114,18 +116,18 @@ class ScalarField:
         return self.p is None
 
     def zero(self) -> Scalar:
-        return Fraction(0) if self.p is None else GFElement(0, self.p)
+        return Fraction(0) if self.p is None else 0
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.p is None else GFElement(1, self.p)
+        return Fraction(1) if self.p is None else 1
 
     def from_int(self, n: int) -> Scalar:
-        return Fraction(n) if self.p is None else GFElement(n, self.p)
+        return Fraction(n) if self.p is None else n % self.p
 
     def contains(self, x: object) -> bool:
         if self.p is None:
             return isinstance(x, Fraction)
-        return isinstance(x, GFElement) and x.p == self.p
+        return type(x) is int and 0 <= x < self.p
 
     def parse(self, text: str) -> Scalar:
         """Parse one scalar literal.
@@ -146,7 +148,7 @@ class ScalarField:
         value = int(text)
         if value >= self.p:
             raise ValueError(f"residue {value} out of range for GF({self.p})")
-        return GFElement(value, self.p)
+        return value
 
     def format(self, x: Scalar) -> str:
         if not self.contains(x):

@@ -15,14 +15,15 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import ShapeError
-from .fields import GFElement, Scalar, ScalarField
+from .fields import Scalar, ScalarField
 
 
 @dataclass(frozen=True)
 class Matrix:
     """An immutable ``rows x cols`` matrix with entries in one scalar field.
 
-    Entries are stored row-major in a flat tuple.  The echelon record, the
+    Entries are stored row-major in a flat tuple: ``Fraction`` values over Q,
+    plain ``int`` residues in ``[0, p)`` over GF(p).  The echelon record, the
     transpose and the kernel and cokernel bases are computed on first use
     and kept with the matrix.
     """
@@ -43,7 +44,7 @@ class Matrix:
         p = self.field.p
         for e in self.entries:
             if not (isinstance(e, Fraction) if p is None
-                    else isinstance(e, GFElement) and e.p == p):
+                    else type(e) is int and 0 <= e < p):
                 raise ShapeError(f"entry {e!r} does not belong to {self.field}")
 
     # -- construction -----------------------------------------------------
@@ -134,8 +135,8 @@ class Matrix:
             for i, pc in enumerate(pivots):
                 v[pc] = -r.entry(i, f)
             cols.append(v)
-        ents = tuple(cols[j][i] for i in range(self.cols) for j in range(len(free)))
-        return Matrix(self.cols, len(free), ents, self.field)
+        ents = (cols[j][i] for i in range(self.cols) for j in range(len(free)))
+        return Matrix(self.cols, len(free), _reduced(self.field.p, ents), self.field)
 
     @cached_property
     def cokernel_basis(self) -> Matrix:
@@ -155,21 +156,23 @@ class Matrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
+    def _with(self, values: Iterable[Scalar]) -> Matrix:
+        """A matrix of this shape and field holding ``values``, reduced."""
+        return Matrix(self.rows, self.cols, _reduced(self.field.p, values), self.field)
+
     def __add__(self, other: Matrix) -> Matrix:
         self._same_shape(other)
-        ents = tuple(a + b for a, b in zip(self.entries, other.entries))
-        return Matrix(self.rows, self.cols, ents, self.field)
+        return self._with(a + b for a, b in zip(self.entries, other.entries))
 
     def __sub__(self, other: Matrix) -> Matrix:
         self._same_shape(other)
-        ents = tuple(a - b for a, b in zip(self.entries, other.entries))
-        return Matrix(self.rows, self.cols, ents, self.field)
+        return self._with(a - b for a, b in zip(self.entries, other.entries))
 
     def __neg__(self) -> Matrix:
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries), self.field)
+        return self._with(-a for a in self.entries)
 
     def scale(self, s: Scalar) -> Matrix:
-        return Matrix(self.rows, self.cols, tuple(s * a for a in self.entries), self.field)
+        return self._with(s * a for a in self.entries)
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if not isinstance(other, Matrix):
@@ -183,13 +186,8 @@ class Matrix:
         # Row by row: row i of the product sums x * (row k of other) over the
         # nonzero entries x = self[i, k], and each right-hand row contributes
         # only its nonzero entries.  Biproduct blocks make most operands zero.
-        k, n, p = self.cols, other.cols, self.field.p
-        if p is None:
-            left, right, zero = self.entries, other.entries, Fraction(0)
-        else:
-            left = [e.value for e in self.entries]
-            right = [e.value for e in other.entries]
-            zero = 0
+        k, n = self.cols, other.cols
+        left, right, zero = self.entries, other.entries, self.field.zero()
         right_rows = [[(j, y) for j, y in enumerate(right[r * n:(r + 1) * n]) if y]
                       for r in range(other.rows)]
         out: list = []
@@ -200,9 +198,7 @@ class Matrix:
                     for j, y in row:
                         acc[j] += x * y
             out.extend(acc)
-        if p is not None:
-            out = _boxed(p, [v % p for v in out])
-        return Matrix(self.rows, n, tuple(out), self.field)
+        return Matrix(self.rows, n, _reduced(self.field.p, out), self.field)
 
     def transpose(self) -> Matrix:
         ents = tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows))
@@ -240,13 +236,10 @@ class Matrix:
         return "[" + ", ".join(rows) + "]"
 
 
-def _boxed(p: int, residues: list[int]) -> list[GFElement]:
-    """Residues in ``[0, p)`` as scalars, one ``GFElement`` per distinct value.
-
-    Sharing is safe because ``GFElement`` is frozen.
-    """
-    box = {v: GFElement(v, p) for v in set(residues)}
-    return [box[v] for v in residues]
+def _reduced(p: int | None, values: Iterable[Scalar]) -> tuple:
+    """``values`` as a matrix's entries: reduced into ``[0, p)`` over GF(p),
+    as they are over Q."""
+    return tuple(values) if p is None else tuple(v % p for v in values)
 
 
 def _rref_rows(rows: list[list], ncols: int,
@@ -298,15 +291,13 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form with its pivot columns and rank.
 
     Pivot choice is the first nonzero entry top to bottom, left to right, so
-    the result is canonical for each matrix.  Over GF(p) the elimination runs
-    on plain integer residues and boxes the result once.  Each call reduces
-    afresh; ``Matrix.echelon`` keeps the result with its matrix.
+    the result is canonical for each matrix.  Each call reduces afresh;
+    ``Matrix.echelon`` keeps the result with its matrix.
     """
     p = m.field.p
     rows = m.row_list()
     if p is None:
         pivots = _rref_rows(rows, m.cols, _q_normalize, _q_eliminate)
-        flat = [x for row in rows for x in row]
     else:
         def normalize(row: list[int], c: int) -> list[int]:
             inv = pow(row[c], -1, p)
@@ -318,10 +309,9 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
             factor = row[c]
             return row[:c] + [(a - factor * b) % p for a, b in zip(row[c:], prow[c:])]
 
-        rows = [[e.value for e in row] for row in rows]
         pivots = _rref_rows(rows, m.cols, normalize, eliminate)
-        flat = _boxed(p, [x for row in rows for x in row])
-    return Matrix(m.rows, m.cols, tuple(flat), m.field), tuple(pivots), len(pivots)
+    flat = tuple(x for row in rows for x in row)
+    return Matrix(m.rows, m.cols, flat, m.field), tuple(pivots), len(pivots)
 
 
 def rank(m: Matrix) -> int:

@@ -7,13 +7,14 @@ import sys
 
 import pytest
 
-from abcat import category, linalg, snake
+from abcat import category, cli, linalg, snake
 from abcat.category import Mor
-from abcat.fields import RATIONALS
+from abcat.fields import RATIONALS, GFElement
 from abcat.linalg import Matrix
 from abcat.properties import worked_example_input
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -64,3 +65,21 @@ def test_tracer_counts_public_calls_that_read_cached_facts(tracer_module):
     assert tr.calls("linalg.left_nullspace_basis") == 2
     assert tr.calls("snake.violations") == 2
     assert tr.calls("constructions.is_exact_pair") == 2  # one validation: two rows
+
+
+def test_gf_snake_builds_no_scalar_wrappers(tracer_module, capsys):
+    # GF(p) entries are plain int residues: a whole snake command creates no
+    # GFElement, and the tracer's counter of them is still installed and live
+    tr = tracer_module.Tracer()
+    tr.install(counting=True)
+    try:
+        code = cli.main(["snake", str(GOLDEN / "snake_gf7_seed1.json"), "--oracle"])
+        created_by_command = tr.gf_new
+        GFElement(3, 7)
+    finally:
+        tr.uninstall()
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / "snake_gf7_seed1_report.txt").read_text(
+        encoding="utf-8")
+    assert tr.calls("snake.snake_sequence") == 1 and tr.calls("linalg.rref") > 0
+    assert created_by_command == 0 and tr.gf_new == 1

@@ -358,6 +358,16 @@ def test_gen_rejects_bad_field_and_composite_modulus():
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [("gen", "--kind", "pair", "--seed", "1"),
+                                     ("selftest", "--cases", "1")])
+@pytest.mark.parametrize("bad", ["gf:٧", "gf:１１", "gf:1_1", "gf:+7", "gf: 7", "gf:"])
+def test_field_flag_takes_ascii_digits_only(run, command, bad):
+    # int() would read these as 7 or 11; diagram files take ASCII digits only
+    with pytest.raises(SystemExit) as exc:
+        run(*command, "--field", bad)
+    assert exc.value.code == 2
+
+
 def test_gen_rejects_bad_max_dim(run):
     code, out, err = run("gen", "--kind", "pair", "--seed", "1", "--max-dim", "0")
     assert code == 2 and "error:" in err

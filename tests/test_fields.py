@@ -76,9 +76,20 @@ def test_field_validation():
     assert prime_field(2147483647).p == 2147483647  # largest allowed prime
 
 
+def test_gf_scalars_are_int_residues():
+    f = prime_field(7)
+    made = [f.zero(), f.one(), f.from_int(-1), f.from_int(15), f.parse("6")]
+    assert made == [0, 1, 6, 1, 6]
+    assert all(type(x) is int for x in made)
+    assert f.contains(0) and f.contains(6)
+    for bad in (7, -1, True, Fraction(1), GFElement(1, 7), 1.0):
+        assert not f.contains(bad)
+    assert f.format(6) == "6"
+
+
 def test_gf_parse_rejects_noncanonical():
     f = prime_field(7)
-    assert f.parse("6") == GFElement(6, 7)
+    assert f.parse("6") == 6 and type(f.parse("6")) is int
     for bad in ["7", "12", "-1", "1/2", ""]:
         with pytest.raises(ValueError):
             f.parse(bad)
@@ -88,7 +99,9 @@ def test_format_rejects_foreign_scalar():
     with pytest.raises(ValueError):
         RATIONALS.format(GFElement(1, 7))
     with pytest.raises(ValueError):
-        prime_field(7).format(GFElement(1, 5))
+        prime_field(7).format(GFElement(1, 7))  # a standalone scalar, not an entry
+    with pytest.raises(ValueError):
+        prime_field(7).format(7)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))

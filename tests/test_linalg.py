@@ -14,7 +14,8 @@ import random
 import pytest
 import sympy
 
-from abcat.category import Obj, biproduct
+from abcat.category import Mor, Obj, biproduct
+from abcat.diagram_io import diagram_for_morphism, parse_text, serialize
 from abcat.errors import ShapeError
 from abcat.fields import RATIONALS, GFElement, prime_field
 from abcat.linalg import (
@@ -240,7 +241,7 @@ def test_nullspace_matches_brute_force_enumeration(field):
         assert len(kernel) == field.p ** n.cols  # basis spans: count matches
         assert rank(n) == n.cols  # and is independent
         for j in range(n.cols):
-            col = tuple(n.entry(i, j).value for i in range(n.rows))
+            col = tuple(n.entry(i, j) for i in range(n.rows))
             assert col in kernel
 
 
@@ -290,13 +291,29 @@ def test_transpose_involution_and_product_rule():
 
 # -- reference kernels --------------------------------------------------------
 #
-# rref and @ compute on plain values and box the results once; these textbook
-# versions compute on the scalar objects themselves, so any difference in
-# pivoting, reduction or zero handling shows up as different entries.
+# rref and @ compute on plain values (int residues over GF(p)); these textbook
+# versions compute on scalar objects that do their own arithmetic (Fraction,
+# or GFElement, which reduces mod p itself), so any difference in pivoting,
+# reduction or zero handling shows up as different entries.
+
+
+def _lift(field, x):
+    """The entry x as a scalar doing its own arithmetic: a GFElement over GF(p)."""
+    return x if field.p is None else GFElement(x, field.p)
+
+
+def _scalar_rows(m):
+    return [[_lift(m.field, m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def _from_scalars(field, rows, cols, values):
+    """The matrix with these scalars as entries, read back as residues."""
+    flat = tuple(x if field.p is None else x.value for x in values)
+    return Matrix(rows, cols, flat, field)
 
 
 def _reference_rref(m):
-    rows = [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+    rows = _scalar_rows(m)
     pivots = []
     pr = 0
     for c in range(m.cols):
@@ -312,19 +329,20 @@ def _reference_rref(m):
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pr])]
         pivots.append(c)
         pr += 1
-    flat = tuple(x for row in rows for x in row)
-    return Matrix(m.rows, m.cols, flat, m.field), tuple(pivots)
+    flat = [x for row in rows for x in row]
+    return _from_scalars(m.field, m.rows, m.cols, flat), tuple(pivots)
 
 
 def _reference_matmul(a, b):
+    left, right = _scalar_rows(a), _scalar_rows(b)
     out = []
     for i in range(a.rows):
         for j in range(b.cols):
-            acc = a.field.zero()
+            acc = _lift(a.field, a.field.zero())
             for k in range(a.cols):
-                acc = acc + a.entry(i, k) * b.entry(k, j)
+                acc = acc + left[i][k] * right[k][j]
             out.append(acc)
-    return Matrix(a.rows, b.cols, tuple(out), a.field)
+    return _from_scalars(a.field, a.rows, b.cols, out)
 
 
 def _same_bytes(got, want):
@@ -389,11 +407,43 @@ def test_matmul_matches_reference_triple_loop(field):
         assert _same_bytes(a @ b, _reference_matmul(a, b)), (a, b)
 
 
-def test_entries_from_another_prime_field_rejected():
-    with pytest.raises(ShapeError, match=r"entry GFElement\(value=1, p=5\) does not belong"):
-        Matrix(1, 2, (GFElement(1, 7), GFElement(1, 5)), GF7)
-    with pytest.raises(ShapeError):
-        Matrix(1, 1, (Fraction(1),), GF7)
+def test_gf_entries_must_be_int_residues_in_range():
+    # a residue carries no modulus, so 1 from GF(5) is 1 in GF(7); what is
+    # not an int in [0, p) is refused, GFElement included
+    assert Matrix(1, 2, (0, 6), GF7).entries == (0, 6)
+    for bad in (7, -1, 2**31, True, False, Fraction(1), GFElement(1, 7), GFElement(1, 5)):
+        with pytest.raises(ShapeError, match=r"does not belong to GF\(7\)"):
+            Matrix(1, 2, (1, bad), GF7)
+
+
+@pytest.mark.parametrize("field", [GF2, GF7, GF_BIG], ids=str)
+def test_every_gf_matrix_path_returns_int_residues(field):
+    p = field.p
+    # entries near p, so an unreduced sum, difference or negation shows
+    a = Matrix.from_int_rows(field, [[p - 1, 1, 0, -1], [2 * p + 1, p - 1, -p, 3],
+                                     [1, 0, p - 1, 1]])
+    b = Matrix.from_int_rows(field, [[-1, 1], [0, p - 1], [1, 1], [p + 1, -2]])
+    x = Matrix.from_int_rows(field, [[1], [p - 1], [0], [1]])
+    made = {
+        "from_int_rows": a, "identity": Matrix.identity(field, 3),
+        "zeros": Matrix.zeros(field, 2, 3),
+        "parse_text": parse_text(serialize(diagram_for_morphism(Mor(a)))).mor("f").mat,
+        "rref": rref(a)[0], "echelon": a.echelon[0], "matmul": a @ b,
+        "add": a + a, "sub": a - a.scale(p - 1), "neg": -a, "scale": a.scale(p - 1),
+        "transpose": a.transpose(), "T": a.T,
+        "hstack": a.hstack(a), "vstack": a.vstack(a),
+        "split_rows": a.split_rows(1)[1], "split_cols": a.split_cols(2)[1],
+        "kernel_basis": a.kernel_basis, "nullspace_basis": nullspace_basis(a),
+        "cokernel_basis": b.cokernel_basis, "left_nullspace_basis": left_nullspace_basis(b),
+        "solve": solve(a, a @ x),
+        "solve_with_column_order": solve_with_column_order(a, a @ x, [3, 1, 0, 2]),
+    }
+    for name, m in made.items():
+        assert m.entries, name
+        bad = [e for e in m.entries if type(e) is not int or not 0 <= e < p]
+        assert not bad, (name, bad)
+    assert made["add"] == a.scale(2) and (made["neg"] + a).is_zero
+    assert made["parse_text"] == a and made["sub"] == made["add"]
 
 
 def test_q_rref_divides_only_where_it_changes_something(monkeypatch):
