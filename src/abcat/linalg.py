@@ -5,6 +5,12 @@ nonzero entry scanning top to bottom, left to right, so equal inputs yield
 byte-equal outputs regardless of platform.  Zero-row and zero-column matrices
 are first-class citizens; they show up constantly as maps in and out of the
 null object.
+
+Over GF(p) a row is one int with an ``s``-bit slot per column, and clearing
+a row is one multiply-add ``row += (p - f) * pivot_row``.  Slots are reduced
+mod p only where they are read: the pivot row when it is chosen, so each
+addition is below ``p * p``, and a row takes at most ``rows`` of them, so
+``s = ((rows + 1) * p * p).bit_length()`` bits never carry into the next slot.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ShapeError
 from .fields import Scalar, ScalarField
@@ -242,15 +248,12 @@ def _reduced(p: int | None, values: Iterable[Scalar]) -> tuple:
     return tuple(values) if p is None else tuple(v % p for v in values)
 
 
-def _rref_rows(rows: list[list], ncols: int,
-               normalize: Callable[[list, int], list],
-               eliminate: Callable[[list, list, int], list]) -> list[int]:
-    """Reduce ``rows`` in place; returns the pivot column indices.
+def _rref_rows(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduce the rational ``rows`` in place; returns the pivot column indices.
 
     The pivot is the first nonzero entry scanning top to bottom, then left to
-    right.  Only the arithmetic depends on the field: ``normalize(row, c)``
-    scales a pivot row so that its entry ``c`` is one, and
-    ``eliminate(row, pivot_row, c)`` clears entry ``c`` of another row.
+    right.  A pivot row is divided by its pivot unless the pivot is one, and
+    its zero entries are left as they are.
     """
     pivots: list[int] = []
     pr = 0
@@ -264,27 +267,19 @@ def _rref_rows(rows: list[list], ncols: int,
         if pivot_row is None:
             continue
         rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        rows[pr] = prow = normalize(rows[pr], c)
+        prow = rows[pr]
+        piv = prow[c]
+        if piv != 1:
+            rows[pr] = prow = [x / piv if x else x for x in prow]
         for r in range(nrows):
-            if r != pr and rows[r][c]:
-                rows[r] = eliminate(rows[r], prow, c)
+            factor = rows[r][c]
+            if r != pr and factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], prow)]
         pivots.append(c)
         pr += 1
         if pr == nrows:
             break
     return pivots
-
-
-def _q_normalize(row: list[Fraction], c: int) -> list[Fraction]:
-    piv = row[c]
-    if piv == 1:
-        return row
-    return [x / piv if x else x for x in row]
-
-
-def _q_eliminate(row: list[Fraction], prow: list[Fraction], c: int) -> list[Fraction]:
-    factor = row[c]
-    return [a - factor * b for a, b in zip(row, prow)]
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
@@ -294,24 +289,54 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     the result is canonical for each matrix.  Each call reduces afresh;
     ``Matrix.echelon`` keeps the result with its matrix.
     """
-    p = m.field.p
-    rows = m.row_list()
+    p, nrows, n, entries = m.field.p, m.rows, m.cols, m.entries
     if p is None:
-        pivots = _rref_rows(rows, m.cols, _q_normalize, _q_eliminate)
-    else:
-        def normalize(row: list[int], c: int) -> list[int]:
-            inv = pow(row[c], -1, p)
-            return [x * inv % p for x in row]
-
-        def eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
-            # The pivot row is zero left of its pivot column c, so those
-            # entries of row stay as they are.
-            factor = row[c]
-            return row[:c] + [(a - factor * b) % p for a, b in zip(row[c:], prow[c:])]
-
-        pivots = _rref_rows(rows, m.cols, normalize, eliminate)
-    flat = tuple(x for row in rows for x in row)
-    return Matrix(m.rows, m.cols, flat, m.field), tuple(pivots), len(pivots)
+        rows = m.row_list()
+        pivots = _rref_rows(rows, n)
+        flat = tuple(x for row in rows for x in row)
+        return Matrix(nrows, n, flat, m.field), tuple(pivots), len(pivots)
+    s = ((nrows + 1) * p * p).bit_length()
+    mask, shifts = (1 << s) - 1, range(0, n * s, s)
+    packed = []
+    for i in range(nrows):
+        v = 0
+        for x in reversed(entries[i * n:(i + 1) * n]):
+            v = v << s | x
+        packed.append(v)
+    fresh = [True] * nrows  # not added to since packing: slots below p
+    pivots, pr = [], 0
+    for c, cs in enumerate(shifts):
+        for r in range(pr, nrows):
+            if (packed[r] >> cs & mask) % p:
+                break
+        else:
+            continue
+        packed[pr], packed[r] = packed[r], packed[pr]
+        fresh[pr], fresh[r] = fresh[r], fresh[pr]
+        prow = packed[pr]
+        piv = (prow >> cs & mask) % p
+        if piv != 1 or not fresh[pr]:
+            # reduce and scale; the slots left of c are all multiples of p
+            inv, v = pow(piv, -1, p), 0
+            for sh in reversed(shifts[c:]):
+                v = v << s | (prow >> sh & mask) * inv % p
+            packed[pr] = prow = v << cs
+        for r in range(nrows):
+            f = (packed[r] >> cs & mask) % p
+            if f and r != pr:
+                packed[r] += (p - f) * prow
+                fresh[r] = False
+        pivots.append(c)
+        pr += 1
+        if pr == nrows:
+            break
+    flat = []
+    for v in packed[:pr]:  # the rows below the pivot rows are all zero
+        for _ in shifts:
+            flat.append((v & mask) % p)
+            v >>= s
+    flat += [0] * ((nrows - pr) * n)
+    return Matrix(nrows, n, tuple(flat), m.field), tuple(pivots), len(pivots)
 
 
 def rank(m: Matrix) -> int:

@@ -527,9 +527,11 @@ def check_square_mono_epi(cases: int, seed: int, field: ScalarField) -> SuiteRes
             rec.check(res.is_cocartesian,
                       f"case {i}: epi bottom but square not cocartesian")
     rec = _run(f"squares.mono_epi[{field}]", cases, case)
-    floor = max(1, cases // 3)
-    rec.check(rec.counters.get("mono_top_hits", 0) >= floor, "too few mono-top hits")
-    rec.check(rec.counters.get("epi_bottom_hits", 0) >= floor, "too few epi-bottom hits")
+    # every case of kind 0 hits a mono top and every case of kind 1 an epi bottom
+    rec.check(rec.counters.get("mono_top_hits", 0) >= (cases + 2) // 3,
+              "too few mono-top hits")
+    rec.check(rec.counters.get("epi_bottom_hits", 0) >= (cases + 1) // 3,
+              "too few epi-bottom hits")
     return rec
 
 

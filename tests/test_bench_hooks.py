@@ -9,7 +9,7 @@ import pytest
 
 from abcat import category, cli, linalg, snake
 from abcat.category import Mor
-from abcat.fields import RATIONALS, GFElement
+from abcat.fields import RATIONALS, GFElement, prime_field
 from abcat.linalg import Matrix
 from abcat.properties import worked_example_input
 
@@ -42,6 +42,21 @@ def test_tracer_counts_a_kernel(tracer_module):
     # uninstalled: the original functions are back
     assert category.kernel(Mor(Matrix.from_int_rows(RATIONALS, [[1, 1]]))).ker_obj.dim == 1
     assert tr.calls("category.kernel") == 1
+
+
+def test_tracer_counts_a_gf_kernel_reduction(tracer_module):
+    # the GF(p) elimination runs inside linalg.rref, the name the bench
+    # patches, so a kernel's one reduction is counted with all its entries
+    tr = tracer_module.Tracer()
+    m = Matrix.from_int_rows(prime_field(7), [[0, 3, 1, 4], [2, 4, 6, 1], [2, 0, 0, 5]])
+    tr.install(counting=True)
+    try:
+        kd = category.kernel(Mor(m))  # looked up at call time, as the bench does
+    finally:
+        tr.uninstall()
+    assert kd.ker_obj.dim == 2 and (m @ kd.ker_mor.mat).is_zero
+    assert tr.calls("linalg.rref") == 1
+    assert tr.rref_entries == m.rows * m.cols
 
 
 def test_tracer_counts_public_calls_that_read_cached_facts(tracer_module):

@@ -428,6 +428,15 @@ def test_selftest_small_run_passes_and_is_deterministic(run):
     assert all(": ok " in line or line.startswith("selftest:") for line in lines)
 
 
+@pytest.mark.parametrize("seed", ["3", "4", "5", "-1"])
+def test_selftest_single_case_passes(run, seed):
+    # one case runs only the mono-top kind of squares.mono_epi, so no
+    # epi-bottom hit may be demanded of it
+    code, out, err = run("selftest", "--cases", "1", "--seed", seed)
+    assert code == 0 and err == "", out
+    assert out.splitlines()[-1].endswith(" suites ok")
+
+
 @pytest.mark.parametrize("cases", ["0", "-3"])
 def test_selftest_rejects_case_counts_below_one(run, cases):
     code, out, err = run("selftest", "--cases", cases, "--field", "q")

@@ -324,8 +324,8 @@ def _reference_rref(m):
         piv = rows[pr][c]
         rows[pr] = [x / piv for x in rows[pr]]
         for r in range(m.rows):
-            if r != pr:
-                factor = rows[r][c]
+            factor = rows[r][c]
+            if r != pr and factor:
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pr])]
         pivots.append(c)
         pr += 1
@@ -389,6 +389,89 @@ def test_rref_matches_reference_elimination(field):
         want, want_pivots = _reference_rref(m)
         assert _same_bytes(got, want), m
         assert pivots == want_pivots and rk == len(want_pivots)
+
+
+def _reference_kernel(m, r, pivots):
+    """One column per free column of ``m``'s reference rref ``r``, as in
+    nullspace_basis."""
+    zero, one = _lift(m.field, m.field.zero()), _lift(m.field, m.field.one())
+    free = [c for c in range(m.cols) if c not in pivots]
+    cols = []
+    for f in free:
+        v = [zero] * m.cols
+        v[f] = one
+        for i, pc in enumerate(pivots):
+            v[pc] = -_lift(m.field, r.entry(i, f))
+        cols.append(v)
+    return _from_scalars(m.field, m.cols, len(free),
+                         [v[i] for i in range(m.cols) for v in cols])
+
+
+def _reference_cokernel(m):
+    t = m.transpose()
+    return _reference_rref(_reference_kernel(t, *_reference_rref(t)).transpose())[0]
+
+
+def _reference_solve(m, b):
+    aug, pivots = _reference_rref(m.hstack(b))
+    if any(pc >= m.cols for pc in pivots):
+        return None
+    rows = {pc: aug.entries[i * aug.cols + m.cols:(i + 1) * aug.cols]
+            for i, pc in enumerate(pivots)}
+    zero_row = (m.field.zero(),) * b.cols
+    return Matrix(m.cols, b.cols,
+                  tuple(x for c in range(m.cols) for x in rows.get(c, zero_row)), m.field)
+
+
+def _dense_random(rng, field, rows, cols):
+    return Matrix(rows, cols, tuple(field.from_int(rng.randrange(field.p))
+                                    for _ in range(rows * cols)), field)
+
+
+def _kernel_cases(rng, field):
+    """Inputs for the GF(p) elimination: empty, tiny, tall and wide shapes,
+    sparse and dense entries, rank-deficient products, and rows that every
+    pivot clears, which fill the packed slots the most."""
+    p = field.p
+    cases = [Matrix.zeros(field, 0, 4), Matrix.zeros(field, 4, 0),
+             Matrix(1, 1, (p - 1,), field), Matrix.zeros(field, 1, 1)]
+    for rows, cols in [(9, 4), (4, 9), (12, 12)]:
+        cases.append(_sparse_random(rng, field, rows, cols))
+        cases.append(_dense_random(rng, field, rows, cols))
+    cases.append(_dense_random(rng, field, 14, 5) @ _dense_random(rng, field, 5, 11))
+    n = 16
+    # all entries p - 1 on and below the diagonal: the last row is cleared by
+    # every pivot
+    cases.append(Matrix.from_int_rows(field, [[p - 1 if j <= i else 0 for j in range(n)]
+                                              for i in range(n)]))
+    # every pivot row ends in p - 1 and the last row's entry under each pivot
+    # is 1, so each clearing adds (p - 1)^2 to the last row's last slot
+    cases.append(Matrix.from_int_rows(
+        field, [[1 if j == i else p - 1 if j == n - 1 else 0 for j in range(n)]
+                for i in range(n - 1)] + [[1] * n]))
+    # a pullback's [c | -d] at the dimension limit, c and d of rank 1
+    c, d = (_dense_random(rng, field, 150, 1) @ _dense_random(rng, field, 1, 150)
+            for _ in range(2))
+    cases.append(c.hstack(-d))
+    return cases
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF7, GF_BIG], ids=str)
+def test_gf_kernels_match_reference_elimination(field):
+    rng = random.Random(f"kernels:{field}")
+    for m in _kernel_cases(rng, field):
+        got, pivots, rk = rref(m)
+        want, want_pivots = _reference_rref(m)
+        assert _same_bytes(got, want), m
+        assert pivots == want_pivots and rk == len(want_pivots)
+        assert _same_bytes(nullspace_basis(m), _reference_kernel(m, want, want_pivots)), m
+        rhs = [m @ _sparse_random(rng, field, m.cols, 2)]
+        if m.rows <= 20:  # the reference is slow at the dimension limit
+            assert _same_bytes(left_nullspace_basis(m), _reference_cokernel(m)), m
+            rhs.append(_dense_random(rng, field, m.rows, 1))  # mostly inconsistent
+        for b in rhs:
+            got_x, want_x = solve(m, b), _reference_solve(m, b)
+            assert (got_x is None and want_x is None) or _same_bytes(got_x, want_x), (m, b)
 
 
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
