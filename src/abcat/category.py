@@ -10,23 +10,26 @@ projections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import PreconditionError, ShapeError
 from .fields import ScalarField
-from .linalg import Matrix, left_nullspace_basis, nullspace_basis, rank, solve
+from .linalg import (Matrix, cached_property, left_nullspace_basis, nullspace_basis,
+                     rank, solve)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Obj:
     """A finite-dimensional space, determined by dimension and field."""
 
     dim: int
     field: ScalarField
 
-    def __post_init__(self) -> None:
-        if self.dim < 0:
-            raise ShapeError(f"negative dimension {self.dim}")
+    def __init__(self, dim: int, field: ScalarField) -> None:
+        if dim < 0:
+            raise ShapeError(f"negative dimension {dim}")
+        d = self.__dict__  # frozen: write the fields straight into the instance dict
+        d["dim"] = dim
+        d["field"] = field
 
     @property
     def is_null(self) -> bool:
@@ -36,12 +39,15 @@ class Obj:
         return f"{self.field}^{self.dim}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Mor:
     """A morphism ``src -> dst``: a ``dim(dst) x dim(src)`` matrix, whose
     shape and field fix both objects."""
 
     mat: Matrix
+
+    def __init__(self, mat: Matrix) -> None:
+        self.__dict__["mat"] = mat  # frozen: written straight into the instance dict
 
     @classmethod
     def from_matrix(cls, mat: Matrix) -> Mor:
@@ -111,9 +117,10 @@ class Mor:
 
 def compose(g: Mor, f: Mor) -> Mor:
     """The composite ``g after f``."""
-    if f.dst != g.src:
+    gm, fm = g.mat, f.mat
+    if fm.rows != gm.cols or fm.field != gm.field:  # f.dst != g.src
         raise ShapeError(f"cannot compose: {f.src}->{f.dst} then {g.src}->{g.dst}")
-    return Mor(g.mat @ f.mat)
+    return Mor(gm @ fm)
 
 
 def identity(x: Obj) -> Mor:

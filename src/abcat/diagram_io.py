@@ -118,6 +118,7 @@ def parse_text(text: str) -> DiagramFile:
 
     mors_node = root["morphisms"]
     _want(isinstance(mors_node, dict), "morphisms", "must be an object")
+    parse = fld.parse
     morphisms: dict[str, tuple[str, str, Mor]] = {}
     for name, payload in mors_node.items():
         path = f"morphisms.{name}"
@@ -137,12 +138,12 @@ def parse_text(text: str) -> DiagramFile:
             _want(isinstance(row, list) and len(row) == ncols,
                   f"{path}.matrix[{i}]", f"must be a list of {ncols} entries")
             for j, cell in enumerate(row):
-                cell_path = f"{path}.matrix[{i}][{j}]"
-                _want(isinstance(cell, str), cell_path, "entries are strings")
+                if not isinstance(cell, str):
+                    raise DiagramFormatError(f"{path}.matrix[{i}][{j}]: entries are strings")
                 try:
-                    flat.append(fld.parse(cell))
+                    flat.append(parse(cell))
                 except ValueError as exc:
-                    raise DiagramFormatError(f"{cell_path}: {exc}") from None
+                    raise DiagramFormatError(f"{path}.matrix[{i}][{j}]: {exc}") from None
         mat = Matrix(nrows, ncols, tuple(flat), fld)
         morphisms[name] = (src, dst, Mor(mat))
 
@@ -185,8 +186,8 @@ def _field_json(fld: ScalarField) -> dict:
 
 
 def _matrix_json(mat: Matrix) -> list[list[str]]:
-    return [[mat.field.format(mat.entry(i, j)) for j in range(mat.cols)]
-            for i in range(mat.rows)]
+    fmt = mat.field.format
+    return [list(map(fmt, row)) for row in mat.row_list()]
 
 
 def serialize(df: DiagramFile) -> str:

@@ -11,14 +11,19 @@ modulus and does that reduction itself; no matrix stores one.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 _RESIDUE_RE = re.compile(r"[0-9]+\Z")
 
 _MAX_PRIME = 2**31
+
+# Fractions are immutable, so every Q matrix may share these two.
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
 
 
 def _is_prime(n: int) -> bool:
@@ -116,10 +121,10 @@ class ScalarField:
         return self.p is None
 
     def zero(self) -> Scalar:
-        return Fraction(0) if self.p is None else 0
+        return _Q_ZERO if self.p is None else 0
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.p is None else 1
+        return _Q_ONE if self.p is None else 1
 
     def from_int(self, n: int) -> Scalar:
         return Fraction(n) if self.p is None else n % self.p
@@ -134,18 +139,29 @@ class ScalarField:
 
         Rationals accept an optional sign, ASCII digits, and an optional
         ``/digits`` denominator; the result is reduced.  Prime fields accept
-        canonical residues ``0`` through ``p - 1`` only.
+        canonical residues ``0`` through ``p - 1`` only.  A numeral longer
+        than ``sys.get_int_max_str_digits()`` is refused.
         """
         if self.p is None:
-            if not _RATIONAL_RE.fullmatch(text):
+            match = _RATIONAL_RE.fullmatch(text)
+            if not match:
                 raise ValueError(f"not a rational literal: {text!r}")
+            num, den = match.groups()
             try:
-                return Fraction(text)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator: {text!r}") from None
+                if den is None:
+                    return Fraction(int(num))
+                num, den = int(num), int(den)
+            except ValueError:
+                raise ValueError(_too_long(text)) from None
+            if not den:
+                raise ValueError(f"zero denominator: {text!r}")
+            return Fraction(num, den)
         if not _RESIDUE_RE.fullmatch(text):
             raise ValueError(f"not a residue literal: {text!r}")
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(_too_long(text)) from None
         if value >= self.p:
             raise ValueError(f"residue {value} out of range for GF({self.p})")
         return value
@@ -157,6 +173,14 @@ class ScalarField:
 
     def __str__(self) -> str:
         return "Q" if self.p is None else f"GF({self.p})"
+
+
+def _too_long(text: str) -> str:
+    """The error for a literal that ``int`` refuses after its pattern
+    matched: a numeral over the interpreter's digit limit."""
+    digits = max(len(part.lstrip("+-")) for part in text.split("/"))
+    return (f"literal has {digits} digits, more than the limit of "
+            f"{sys.get_int_max_str_digits()} digits")
 
 
 RATIONALS = ScalarField()

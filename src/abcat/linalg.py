@@ -17,14 +17,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
 from .fields import Scalar, ScalarField
 
 
-@dataclass(frozen=True)
+class cached_property:
+    """A value computed on first access and kept in the instance ``__dict__``.
+
+    ``functools.cached_property`` takes a lock on every first access before
+    Python 3.12; the values kept here are pure functions of immutable
+    objects, so computing one twice in a race is harmless.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+@dataclass(frozen=True, init=False)
 class Matrix:
     """An immutable ``rows x cols`` matrix with entries in one scalar field.
 
@@ -39,19 +61,28 @@ class Matrix:
     entries: tuple
     field: ScalarField
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ShapeError(f"negative shape {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple, field: ScalarField) -> None:
+        if rows < 0 or cols < 0:
+            raise ShapeError(f"negative shape {rows}x{cols}")
+        if len(entries) != rows * cols:
             raise ShapeError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        p = self.field.p
-        for e in self.entries:
-            if not (isinstance(e, Fraction) if p is None
-                    else type(e) is int and 0 <= e < p):
-                raise ShapeError(f"entry {e!r} does not belong to {self.field}")
+        p = field.p
+        if p is None:
+            for e in entries:
+                if not isinstance(e, Fraction):
+                    raise ShapeError(f"entry {e!r} does not belong to {field}")
+        else:
+            for e in entries:
+                if type(e) is not int or not 0 <= e < p:
+                    raise ShapeError(f"entry {e!r} does not belong to {field}")
+        # frozen: write the fields straight into the instance dict
+        d = self.__dict__
+        d["rows"] = rows
+        d["cols"] = cols
+        d["entries"] = entries
+        d["field"] = field
 
     # -- construction -----------------------------------------------------
 
@@ -96,7 +127,14 @@ class Matrix:
 
     # -- access ------------------------------------------------------------
 
+    def _check_index(self, kind: str, index: int, bound: int) -> None:
+        if not 0 <= index < bound:
+            raise ShapeError(f"{kind} index {index} out of range for a "
+                             f"{self.rows}x{self.cols} matrix")
+
     def entry(self, i: int, j: int) -> Scalar:
+        self._check_index("row", i, self.rows)
+        self._check_index("column", j, self.cols)
         return self.entries[i * self.cols + j]
 
     def row_list(self) -> list[list[Scalar]]:
@@ -104,14 +142,16 @@ class Matrix:
                 for i in range(self.rows)]
 
     def col(self, j: int) -> Matrix:
-        return Matrix(self.rows, 1,
-                      tuple(self.entry(i, j) for i in range(self.rows)),
-                      self.field)
+        self._check_index("column", j, self.cols)
+        return Matrix(self.rows, 1, self.entries[j::self.cols], self.field)
 
     def take_columns(self, idxs: Iterable[int]) -> Matrix:
         idxs = list(idxs)
-        ents = tuple(self.entry(i, j) for i in range(self.rows) for j in idxs)
-        return Matrix(self.rows, len(idxs), ents, self.field)
+        for j in idxs:
+            self._check_index("column", j, self.cols)
+        picked = [self.entries[j::self.cols] for j in idxs]
+        return Matrix(self.rows, len(idxs), tuple(chain.from_iterable(zip(*picked))),
+                      self.field)
 
     @property
     def is_zero(self) -> bool:
@@ -131,18 +171,20 @@ class Matrix:
     def kernel_basis(self) -> Matrix:
         """``nullspace_basis(self)``, read off ``echelon``."""
         r, pivots, _ = self.echelon
+        n = self.cols
         pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
+        free = [c for c in range(n) if c not in pivot_set]
         zero, one = self.field.zero(), self.field.one()
-        cols: list[list[Scalar]] = []
-        for f in free:
-            v = [zero] * self.cols
-            v[f] = one
-            for i, pc in enumerate(pivots):
-                v[pc] = -r.entry(i, f)
-            cols.append(v)
-        ents = (cols[j][i] for i in range(self.cols) for j in range(len(free)))
-        return Matrix(self.cols, len(free), _reduced(self.field.p, ents), self.field)
+        # row c of the basis holds coordinate c of every basis vector
+        rows: list = [None] * n
+        for k, f in enumerate(free):
+            rows[f] = [zero] * len(free)
+            rows[f][k] = one
+        for i, pc in enumerate(pivots):
+            row = r.entries[i * n:(i + 1) * n]
+            rows[pc] = [-row[f] for f in free]
+        ents = _reduced(self.field.p, chain.from_iterable(rows))
+        return Matrix(n, len(free), ents, self.field)
 
     @cached_property
     def cokernel_basis(self) -> Matrix:
@@ -207,8 +249,9 @@ class Matrix:
         return Matrix(self.rows, n, _reduced(self.field.p, out), self.field)
 
     def transpose(self) -> Matrix:
-        ents = tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows))
-        return Matrix(self.cols, self.rows, ents, self.field)
+        n = self.cols
+        ents = tuple(chain.from_iterable(self.entries[j::n] for j in range(n)))
+        return Matrix(n, self.rows, ents, self.field)
 
     def hstack(self, other: Matrix) -> Matrix:
         if self.rows != other.rows or self.field != other.field:
@@ -236,16 +279,15 @@ class Matrix:
         return self.take_columns(range(k)), self.take_columns(range(k, self.cols))
 
     def __str__(self) -> str:
-        rows = ["[" + ", ".join(self.field.format(self.entry(i, j))
-                                for j in range(self.cols)) + "]"
-                for i in range(self.rows)]
-        return "[" + ", ".join(rows) + "]"
+        fmt = self.field.format
+        return "[" + ", ".join("[" + ", ".join(map(fmt, row)) + "]"
+                               for row in self.row_list()) + "]"
 
 
 def _reduced(p: int | None, values: Iterable[Scalar]) -> tuple:
     """``values`` as a matrix's entries: reduced into ``[0, p)`` over GF(p),
     as they are over Q."""
-    return tuple(values) if p is None else tuple(v % p for v in values)
+    return tuple(values) if p is None else tuple(map(p.__rmod__, values))
 
 
 def _rref_rows(rows: list[list[Fraction]], ncols: int) -> list[int]:
@@ -286,10 +328,13 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form with its pivot columns and rank.
 
     Pivot choice is the first nonzero entry top to bottom, left to right, so
-    the result is canonical for each matrix.  Each call reduces afresh;
-    ``Matrix.echelon`` keeps the result with its matrix.
+    the result is canonical for each matrix.  A matrix with a zero dimension
+    has no entries to reduce.  Each call reduces afresh; ``Matrix.echelon``
+    keeps the result with its matrix.
     """
     p, nrows, n, entries = m.field.p, m.rows, m.cols, m.entries
+    if not nrows or not n:
+        return Matrix(nrows, n, (), m.field), (), 0
     if p is None:
         rows = m.row_list()
         pivots = _rref_rows(rows, n)

@@ -33,7 +33,6 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .category import (
     CokernelData,
@@ -55,7 +54,7 @@ from .constructions import (
     pushout,
 )
 from .errors import AbcatError, InternalCheckError
-from .linalg import solve, solve_with_column_order
+from .linalg import cached_property, solve, solve_with_column_order
 
 
 @dataclass(frozen=True)

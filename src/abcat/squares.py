@@ -25,7 +25,6 @@ with it (``Square.analysis``); disagreement is a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .category import Mor, cokernel, cokernel_colift, epi_colift, kernel, kernel_lift
 from .constructions import (
@@ -39,6 +38,7 @@ from .constructions import (
     pushout_colift,
 )
 from .errors import InternalCheckError, PreconditionError, ShapeError
+from .linalg import cached_property
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,31 @@ def test_morphisms_and_constructions_store_no_objects():
     assert (pb.p_obj, po.s_obj) == (pb.n.src, po.t.dst) == (Obj(5, Q), Obj(3, Q))
 
 
+def test_value_objects_keep_dataclass_equality_hash_and_replace():
+    m = Matrix.from_int_rows(Q, [[1, 2], [3, 4]])
+    assert m.echelon[2] == 2  # a kept fact is not part of the value
+    f, x = Mor(m), Obj(2, Q)
+    for value, fields in [(m, (2, 2, m.entries, Q)), (f, (m,)), (x, (2, Q))]:
+        copy = dataclasses.replace(value)
+        assert copy == value and copy is not value and hash(copy) == hash(value)
+        assert hash(value) == hash(fields)
+        assert dataclasses.astuple(value) == dataclasses.astuple(copy)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.field = GF5
+    assert "echelon" not in vars(dataclasses.replace(m))
+    assert repr(m) == ("Matrix(rows=2, cols=2, entries=(Fraction(1, 1), Fraction(2, 1), "
+                       "Fraction(3, 1), Fraction(4, 1)), field=ScalarField(p=None))")
+    assert repr(f) == f"Mor(mat={m!r})" and repr(x) == "Obj(dim=2, field=ScalarField(p=None))"
+    g = dataclasses.replace(m, field=GF5, entries=(1, 2, 3, 4))
+    assert g != m and dataclasses.replace(f, mat=g).mat is g
+    assert dataclasses.replace(x, dim=0).is_null and Obj(dim=3, field=GF5) == Obj(3, GF5)
+    assert Mor(mat=m) == f and Matrix(rows=0, cols=1, entries=(), field=Q).cols == 1
+    with pytest.raises(ShapeError, match="^negative dimension -1$"):
+        dataclasses.replace(x, dim=-1)
+    with pytest.raises(ShapeError, match="^entry 1 does not belong to Q$"):
+        dataclasses.replace(g, field=Q)
+
+
 def test_compose_shapes_and_identity_laws():
     f = qmor([[1, 2]])
     g = qmor([[3], [4]])
@@ -90,8 +115,12 @@ def test_compose_shapes_and_identity_laws():
     assert g @ f == gf
     assert identity(f.dst) @ f == f
     assert f @ identity(f.src) == f
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"^cannot compose: Q\^1->Q\^2 then Q\^1->Q\^2$"):
         compose(g, g)  # middle objects disagree
+    h = Mor(Matrix.from_int_rows(GF5, [[1], [2]]))
+    with pytest.raises(ShapeError, match=r"^cannot compose: GF\(5\)\^1->GF\(5\)\^2 then "
+                                         r"Q\^2->Q\^1$"):
+        compose(f, h)  # fields disagree
 
 
 def test_mono_epi_iso_flags_on_fixtures():

@@ -313,6 +313,21 @@ def test_non_ascii_digits_are_input_errors(run, tmp_path, field, cell):
     assert err.startswith("error: morphisms.f.matrix[0][0]: ")
 
 
+def test_over_long_literal_is_input_error_in_plain_words(run, tmp_path):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts numerals of any length")
+    doc = {"field": {"kind": "Q"}, "objects": {"A": 2, "B": 1},
+           "morphisms": {"f": {"src": "A", "dst": "B",
+                               "matrix": [["1", "7" * (limit + 100)]]}},
+           "diagram": {"kind": "morphism", "roles": {"f": "f"}}}
+    path = _write(tmp_path, "long.json", json.dumps(doc))
+    code, out, err = run("factor", path, "--morphism", "f")
+    assert code == 2 and out == ""
+    assert err == (f"error: morphisms.f.matrix[0][1]: literal has {limit + 100} digits, "
+                   f"more than the limit of {limit} digits\n")
+
+
 # -- gen ----------------------------------------------------------------------------
 
 

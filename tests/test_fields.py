@@ -1,4 +1,5 @@
 from fractions import Fraction
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -126,3 +127,30 @@ def test_parse_accepts_ascii_digits_only():
     for bad in ["٥", "５"]:
         with pytest.raises(ValueError):
             prime_field(7).parse(bad)
+
+
+def test_rational_literals_parse_as_fraction_of_the_text():
+    for text in ["+3", "-0", "007", "4/6", "-12/35", "+0/5", "-007/014"]:
+        got = RATIONALS.parse(text)
+        assert type(got) is Fraction and got == Fraction(text), text
+    with pytest.raises(ValueError, match=r"^zero denominator: '1/0'$"):
+        RATIONALS.parse("1/0")
+    with pytest.raises(ValueError, match=r"^zero denominator: '-3/000'$"):
+        RATIONALS.parse("-3/000")
+
+
+def test_over_long_literals_name_their_length_and_the_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts numerals of any length")
+    longest = "9" * limit
+    assert RATIONALS.parse(longest) == int(longest)
+    assert RATIONALS.parse(f"-{longest}/{longest}") == -1
+    for field, text, digits in [(RATIONALS, "1" * (limit + 100), limit + 100),
+                                (RATIONALS, f"-{longest}0", limit + 1),
+                                (RATIONALS, f"2/{longest}00", limit + 2),
+                                (prime_field(7), "0" * (limit + 1), limit + 1)]:
+        with pytest.raises(ValueError) as info:
+            field.parse(text)
+        assert str(info.value) == (f"literal has {digits} digits, more than the limit "
+                                   f"of {limit} digits")

@@ -9,11 +9,13 @@ every vector and compare against the honest kernel.
 
 from fractions import Fraction
 import itertools
+import json
 import random
 
 import pytest
 import sympy
 
+from abcat import linalg
 from abcat.category import Mor, Obj, biproduct
 from abcat.diagram_io import diagram_for_morphism, parse_text, serialize
 from abcat.errors import ShapeError
@@ -545,3 +547,103 @@ def test_q_rref_divides_only_where_it_changes_something(monkeypatch):
     got, pivots, _ = rref(qmat([[2, 0, 4], [0, 0, 3]]))
     assert got == qmat([[1, 0, 0], [0, 0, 1]]) and pivots == (0, 2)
     assert len(divisions) == 3  # the nonzero entries of the two non-unit pivot rows
+
+
+# -- zero dimensions, index checks and structural operations ----------------
+
+
+@pytest.mark.parametrize("field", [Q, GF2, GF7], ids=str)
+def test_rref_of_a_matrix_with_a_zero_dimension_eliminates_nothing(field, monkeypatch):
+    def no_elimination(rows, ncols):
+        raise AssertionError("eliminated a matrix without entries")
+
+    for rows, cols in [(0, 4), (4, 0), (0, 0)]:
+        m = Matrix.zeros(field, rows, cols)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_rref_rows", no_elimination)
+            assert rref(m) == m.echelon == (Matrix(rows, cols, (), field), (), 0)
+        assert m.kernel_basis == Matrix.identity(field, cols)
+        assert m.cokernel_basis == Matrix.identity(field, rows)
+
+
+def test_indices_out_of_range_are_shape_errors():
+    m = qmat([[1, 2], [3, 4]])
+    for call, index in [(lambda: m.take_columns([-1]), -1), (lambda: m.take_columns([0, 2]), 2),
+                        (lambda: m.entry(0, 2), 2), (lambda: m.entry(1, -1), -1),
+                        (lambda: m.col(2), 2), (lambda: m.col(-1), -1),
+                        (lambda: m.split_cols(3), 2), (lambda: m.split_cols(-1), -1)]:
+        with pytest.raises(ShapeError) as info:
+            call()
+        assert str(info.value) == f"column index {index} out of range for a 2x2 matrix"
+    for i in (2, -1):
+        with pytest.raises(ShapeError, match=rf"^row index {i} out of range for a 2x2 matrix$"):
+            m.entry(i, 0)
+    with pytest.raises(ShapeError, match="column index 0 out of range for a 3x0 matrix"):
+        Matrix.zeros(Q, 3, 0).take_columns([0])
+
+
+def test_entry_errors_name_the_first_bad_entry():
+    cases = [(GF7, (1, True, 9), "entry True does not belong to GF(7)"),
+             (GF7, (1, 7, True), "entry 7 does not belong to GF(7)"),
+             (GF7, (1, -1, 7), "entry -1 does not belong to GF(7)"),
+             (GF7, (Fraction(1, 2), 1, 2), "entry Fraction(1, 2) does not belong to GF(7)"),
+             (Q, (Fraction(1), 1, 2.5), "entry 1 does not belong to Q"),
+             (Q, (Fraction(1), Fraction(2), True), "entry True does not belong to Q")]
+    for field, entries, message in cases:
+        with pytest.raises(ShapeError) as info:
+            Matrix(1, 3, entries, field)
+        assert str(info.value) == message
+    for rows, cols, entries, message in [(-1, 2, (), "negative shape -1x2"),
+                                         (2, 2, (1, 2, 3), "2x2 matrix needs 4 entries, got 3")]:
+        with pytest.raises(ShapeError) as info:
+            Matrix(rows, cols, entries, GF7)
+        assert str(info.value) == message
+
+
+def _at(m, i, j):
+    return m.entries[i * m.cols + j]
+
+
+def _reference_kernel_basis(m):
+    """The kernel basis vector by vector, as a column per free column."""
+    r, pivots, _ = m.echelon
+    free = [c for c in range(m.cols) if c not in pivots]
+    vectors = []
+    for f in free:
+        v = [m.field.zero()] * m.cols
+        v[f] = m.field.one()
+        for i, pc in enumerate(pivots):
+            v[pc] = -_at(r, i, f) if m.field.p is None else -_at(r, i, f) % m.field.p
+        vectors.append(v)
+    ents = tuple(vectors[j][i] for i in range(m.cols) for j in range(len(free)))
+    return Matrix(m.cols, len(free), ents, m.field)
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
+def test_structural_operations_match_per_entry_definitions(field):
+    rng = random.Random(13)
+    for _ in range(60):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        m = _sparse_random(rng, field, rows, cols)
+        if rows and rng.random() < 0.3:  # a repeated row: rank deficient
+            m = m.vstack(m.split_rows(1)[0])
+        assert m.transpose() == Matrix(m.cols, m.rows, tuple(
+            _at(m, i, j) for j in range(m.cols) for i in range(m.rows)), field)
+        idxs = [rng.randrange(m.cols) for _ in range(rng.randint(0, 6))] if m.cols else []
+        assert m.take_columns(idxs) == Matrix(m.rows, len(idxs), tuple(
+            _at(m, i, j) for i in range(m.rows) for j in idxs), field)
+        for k in range(m.cols + 1):
+            assert m.split_cols(k) == tuple(
+                Matrix(m.rows, len(js), tuple(_at(m, i, j) for i in range(m.rows) for j in js),
+                       field)
+                for js in (range(k), range(k, m.cols)))
+        for j in range(m.cols):
+            assert m.col(j).entries == tuple(_at(m, i, j) for i in range(m.rows))
+        assert m.kernel_basis == _reference_kernel_basis(m)
+        text = "[" + ", ".join("[" + ", ".join(field.format(_at(m, i, j))
+                                               for j in range(m.cols)) + "]"
+                               for i in range(m.rows)) + "]"
+        assert str(m) == text
+        doc = json.loads(serialize(diagram_for_morphism(Mor(m))))
+        assert doc["morphisms"]["f"]["matrix"] == [
+            [field.format(_at(m, i, j)) for j in range(m.cols)] for i in range(m.rows)]
