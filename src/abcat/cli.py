@@ -41,7 +41,6 @@ from .errors import (
     ShapeError,
 )
 from .fields import RATIONALS, ScalarField, prime_field
-from .properties import run_selftest
 from .snake import SnakeInputError, chase_delta, snake_sequence
 from .squares import analyze, decompose_semicartesian
 
@@ -277,6 +276,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .properties import run_selftest  # here, so that no other command loads the battery
+
     if args.cases < 1:
         raise ValueError(f"--cases must be at least 1, got {args.cases}")
     fields = tuple(args.field) if args.field else (RATIONALS, prime_field(7))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .category import Mor, Obj
 from .errors import DiagramFormatError, ShapeError
-from .fields import ScalarField
+from .fields import ScalarField, too_long
 from .linalg import Matrix
 from .snake import SnakeInput
 from .squares import Square
@@ -90,12 +90,47 @@ def _parse_field(node: object) -> ScalarField:
     raise DiagramFormatError('field.kind: must be "Q" or "GFp"')
 
 
-def parse_text(text: str) -> DiagramFile:
-    """Parse and validate one diagram document."""
+class _Refused:
+    """Stands in for a JSON integer that ``int`` refused: one over the
+    interpreter's digit limit, as for matrix literals."""
+
+    def __init__(self, digits: str) -> None:
+        self.digits = digits
+
+
+def _refuse(digits: str) -> object:
     try:
-        root = json.loads(text)
+        return int(digits)
+    except ValueError:
+        return _Refused(digits)
+
+
+def _load_json(text: str) -> object:
+    """``json.loads``, but an over-long integer is refused by its path."""
+    try:
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DiagramFormatError(f"invalid JSON: {exc}") from None
+    except ValueError:
+        pass  # an integer over the digit limit: parse again to find its path
+    root = json.loads(text, parse_int=_refuse)
+    stack = [("$", root)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, _Refused):
+            raise DiagramFormatError(f"{path}: {too_long(node.digits)}")
+        prefix = "" if path == "$" else f"{path}."
+        if isinstance(node, dict):
+            stack.extend((f"{prefix}{key}", child)
+                         for key, child in reversed(node.items()))
+        elif isinstance(node, list):
+            stack.extend((f"{path}[{i}]", node[i]) for i in reversed(range(len(node))))
+    return root  # a repeated key dropped every refused integer
+
+
+def parse_text(text: str) -> DiagramFile:
+    """Parse and validate one diagram document."""
+    root = _load_json(text)
     _want(isinstance(root, dict), "$", "top level must be an object")
     required = {"field", "objects", "morphisms", "diagram"}
     missing = required - set(root)
@@ -178,6 +213,9 @@ def parse_path(path: str) -> DiagramFile:
             text = handle.read()
     except OSError as exc:
         raise DiagramFormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DiagramFormatError(f"cannot read {path}: not UTF-8: byte "
+                                 f"0x{exc.object[exc.start]:02x} at offset {exc.start}") from None
     return parse_text(text)
 
 

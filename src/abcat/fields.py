@@ -152,7 +152,7 @@ class ScalarField:
                     return Fraction(int(num))
                 num, den = int(num), int(den)
             except ValueError:
-                raise ValueError(_too_long(text)) from None
+                raise ValueError(too_long(text)) from None
             if not den:
                 raise ValueError(f"zero denominator: {text!r}")
             return Fraction(num, den)
@@ -161,7 +161,7 @@ class ScalarField:
         try:
             value = int(text)
         except ValueError:
-            raise ValueError(_too_long(text)) from None
+            raise ValueError(too_long(text)) from None
         if value >= self.p:
             raise ValueError(f"residue {value} out of range for GF({self.p})")
         return value
@@ -175,9 +175,9 @@ class ScalarField:
         return "Q" if self.p is None else f"GF({self.p})"
 
 
-def _too_long(text: str) -> str:
-    """The error for a literal that ``int`` refuses after its pattern
-    matched: a numeral over the interpreter's digit limit."""
+def too_long(text: str) -> str:
+    """The error for a numeral that ``int`` refuses after its pattern
+    matched: one over the interpreter's digit limit."""
     digits = max(len(part.lstrip("+-")) for part in text.split("/"))
     return (f"literal has {digits} digits, more than the limit of "
             f"{sys.get_int_max_str_digits()} digits")

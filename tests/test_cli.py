@@ -1,6 +1,7 @@
 """End-to-end command runs: exit codes, report bytes, golden comparisons."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -328,6 +329,32 @@ def test_over_long_literal_is_input_error_in_plain_words(run, tmp_path):
                    f"more than the limit of {limit} digits\n")
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ('"A": 1', '"A": ' + "7" * 5000, "objects.A: literal has 5000 digits"),
+    ('"p": 7', '"p": ' + "7" * 4400, "field.p: literal has 4400 digits"),
+], ids=["objects", "field.p"])
+def test_over_long_json_integer_is_input_error_in_plain_words(run, tmp_path, old, new, message):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts numerals of any length")
+    doc = {"field": {"kind": "GFp", "p": 7}, "objects": {"A": 1},
+           "morphisms": {"f": {"src": "A", "dst": "A", "matrix": [["1"]]}},
+           "diagram": {"kind": "morphism", "roles": {"f": "f"}}}
+    path = _write(tmp_path, "long.json", json.dumps(doc).replace(old, new))
+    code, out, err = run("factor", path, "--morphism", "f")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}, more than the limit of {limit} digits\n"
+
+
+def test_file_that_is_not_utf8_is_input_error_naming_it(run, tmp_path):
+    data = (GOLDEN / "pair_q_seed1.json").read_bytes()
+    path = tmp_path / "latin1.json"
+    path.write_bytes(data[:39] + b"\xff" + data[40:])
+    code, out, err = run("factor", str(path), "--morphism", "f")
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {path}: not UTF-8: byte 0xff at offset 39\n"
+
+
 # -- gen ----------------------------------------------------------------------------
 
 
@@ -513,6 +540,31 @@ def test_no_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+IMPORT_GRAPH = """
+import contextlib, io, sys
+import abcat
+from abcat import cli
+golden = sys.argv[1]
+for argv in (["factor", golden + "/pair_q_seed1.json", "--morphism", "f"],
+             ["square", golden + "/square_gf7_seed1.json", "--decompose"],
+             ["snake", golden + "/snake_gf7_seed1.json", "--trace", "--oracle"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert "abcat.properties" not in sys.modules, "the selftest battery was loaded"
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli.main(["selftest", "--cases", "1", "--seed", "3"]) == 0, out.getvalue()
+assert "abcat.properties" in sys.modules
+"""
+
+
+def test_only_selftest_loads_the_property_battery():
+    src = pathlib.Path(__file__).parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GRAPH, str(GOLDEN)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point_matches_golden():

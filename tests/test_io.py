@@ -3,6 +3,7 @@
 import json
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -139,6 +140,39 @@ def test_parse_path_missing_file(tmp_path):
     with pytest.raises(DiagramFormatError) as exc:
         parse_path(str(tmp_path / "nope.json"))
     assert "cannot read" in str(exc.value)
+
+
+def test_parse_path_refuses_a_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "d.json"
+    data = DOC.encode("utf-8")
+    p.write_bytes(data[:39] + b"\xff" + data[40:])
+    with pytest.raises(DiagramFormatError) as exc:
+        parse_path(str(p))
+    assert str(exc.value) == f"cannot read {p}: not UTF-8: byte 0xff at offset 39"
+
+
+@pytest.mark.parametrize("mutate, digits, path", [
+    (lambda d: d["objects"].update(A="BIG"), 5000, "objects.A"),
+    (lambda d: d.update(field={"kind": "GFp", "p": "BIG"}), 4400, "field.p"),
+    (lambda d: d.update(meta={"n": [1, "-BIG"]}), 4400, "meta.n[1]"),
+    (lambda d: d.update(meta="BIG"), 4400, "meta"),
+])
+def test_over_long_json_integer_is_refused_by_path(mutate, digits, path):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts numerals of any length")
+    text = _broken(mutate).replace('"BIG"', "7" * digits).replace('"-BIG"', "-" + "7" * digits)
+    with pytest.raises(DiagramFormatError) as exc:
+        parse_text(text)
+    assert str(exc.value) == (f"{path}: literal has {digits} digits, "
+                              f"more than the limit of {limit} digits")
+
+
+def test_over_long_json_integer_overwritten_by_a_repeated_key_is_ignored():
+    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("this interpreter converts numerals of any length")
+    text = DOC.replace('"A": 1,', '"A": ' + "7" * 5000 + ', "A": 1,')
+    assert parse_text(text).objects == {"A": 1, "B": 2}
 
 
 def test_parse_path_roundtrip(tmp_path):
