@@ -6,11 +6,16 @@ byte-equal outputs regardless of platform.  Zero-row and zero-column matrices
 are first-class citizens; they show up constantly as maps in and out of the
 null object.
 
-Over GF(p) a row is one int with an ``s``-bit slot per column, and clearing
-a row is one multiply-add ``row += (p - f) * pivot_row``.  Slots are reduced
-mod p only where they are read: the pivot row when it is chosen, so each
-addition is below ``p * p``, and a row takes at most ``rows`` of them, so
-``s = ((rows + 1) * p * p).bit_length()`` bits never carry into the next slot.
+Over GF(p) a row is one int with an ``s``-bit slot per column (``_pack``).
+``_eliminate_packed`` is the one elimination loop of ``rref`` and ``solve``:
+clearing a row is one multiply-add ``row += (p - f) * pivot_row``.  Slots
+are reduced mod p only where they are read: the pivot row when it is chosen,
+so each addition is below ``p * p``, and a row takes at most ``rows`` of
+them, so ``s = ((rows + 1) * p * p).bit_length()`` bits never carry into the
+next slot.  A product packs each row of its right operand once; a product
+row is one multiply-add per nonzero left entry, and its slots sum at most
+``k`` products below ``p * p``, so ``s = (k * p * p).bit_length()`` bits
+suffice for inner dimension ``k``.
 """
 
 from __future__ import annotations
@@ -232,10 +237,23 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         # Row by row: row i of the product sums x * (row k of other) over the
-        # nonzero entries x = self[i, k], and each right-hand row contributes
-        # only its nonzero entries.  Biproduct blocks make most operands zero.
+        # nonzero entries x = self[i, k].  Over GF(p) each right-hand row is
+        # packed once; over Q it contributes only its nonzero entries.
+        # Biproduct blocks make most operands zero.
         k, n = self.cols, other.cols
-        left, right, zero = self.entries, other.entries, self.field.zero()
+        left, right, p = self.entries, other.entries, self.field.p
+        if p is not None:
+            s = (k * p * p).bit_length() or 1
+            right_rows = [_pack(right[r * n:(r + 1) * n], s) for r in range(k)]
+            zero_row, out = [0] * n, []
+            for i in range(self.rows):
+                acc = 0
+                for x, v in zip(left[i * k:(i + 1) * k], right_rows):
+                    if x and v:
+                        acc += x * v
+                out += _unpack(acc, n, s, p) if acc else zero_row
+            return Matrix(self.rows, n, tuple(out), self.field)
+        zero = self.field.zero()
         right_rows = [[(j, y) for j, y in enumerate(right[r * n:(r + 1) * n]) if y]
                       for r in range(other.rows)]
         out: list = []
@@ -246,7 +264,7 @@ class Matrix:
                     for j, y in row:
                         acc[j] += x * y
             out.extend(acc)
-        return Matrix(self.rows, n, _reduced(self.field.p, out), self.field)
+        return Matrix(self.rows, n, tuple(out), self.field)
 
     def transpose(self) -> Matrix:
         n = self.cols
@@ -324,30 +342,33 @@ def _rref_rows(rows: list[list[Fraction]], ncols: int) -> list[int]:
     return pivots
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
-    """Reduced row echelon form with its pivot columns and rank.
+def _pack(values: Sequence[int], s: int) -> int:
+    """The residues ``values`` as one int, value ``j`` in slot ``j`` of ``s`` bits."""
+    v = 0
+    for x in reversed(values):
+        v = v << s | x
+    return v
 
-    Pivot choice is the first nonzero entry top to bottom, left to right, so
-    the result is canonical for each matrix.  A matrix with a zero dimension
-    has no entries to reduce.  Each call reduces afresh; ``Matrix.echelon``
-    keeps the result with its matrix.
+
+def _unpack(v: int, n: int, s: int, p: int) -> list[int]:
+    """The first ``n`` slots of ``v``, each reduced mod ``p``."""
+    mask, out = (1 << s) - 1, []
+    for _ in range(n):
+        out.append((v & mask) % p)
+        v >>= s
+    return out
+
+
+def _eliminate_packed(packed: list[int], n: int, s: int, p: int) -> list[int]:
+    """Reduce the packed GF(p) rows in place; returns the pivot column indices.
+
+    Each row holds ``n`` slots of ``s`` bits.  Pivoting is ``rref``'s: the
+    first slot nonzero mod p, top to bottom, then left to right.  The pivot
+    rows end up first, in pivot order, each zero left of its pivot; the rows
+    below them are zero mod p.  A slot is left unreduced, so read it mod p.
     """
-    p, nrows, n, entries = m.field.p, m.rows, m.cols, m.entries
-    if not nrows or not n:
-        return Matrix(nrows, n, (), m.field), (), 0
-    if p is None:
-        rows = m.row_list()
-        pivots = _rref_rows(rows, n)
-        flat = tuple(x for row in rows for x in row)
-        return Matrix(nrows, n, flat, m.field), tuple(pivots), len(pivots)
-    s = ((nrows + 1) * p * p).bit_length()
+    nrows = len(packed)
     mask, shifts = (1 << s) - 1, range(0, n * s, s)
-    packed = []
-    for i in range(nrows):
-        v = 0
-        for x in reversed(entries[i * n:(i + 1) * n]):
-            v = v << s | x
-        packed.append(v)
     fresh = [True] * nrows  # not added to since packing: slots below p
     pivots, pr = [], 0
     for c, cs in enumerate(shifts):
@@ -375,12 +396,33 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
         pr += 1
         if pr == nrows:
             break
+    return pivots
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
+    """Reduced row echelon form with its pivot columns and rank.
+
+    Pivot choice is the first nonzero entry top to bottom, left to right, so
+    the result is canonical for each matrix.  A matrix with a zero dimension
+    has no entries to reduce and is its own reduced form.  Each call reduces
+    afresh; ``Matrix.echelon`` keeps the result with its matrix.
+    """
+    p, nrows, n, entries = m.field.p, m.rows, m.cols, m.entries
+    if not nrows or not n:
+        return m, (), 0
+    if p is None:
+        rows = m.row_list()
+        pivots = _rref_rows(rows, n)
+        flat = tuple(x for row in rows for x in row)
+        return Matrix(nrows, n, flat, m.field), tuple(pivots), len(pivots)
+    s = ((nrows + 1) * p * p).bit_length()
+    packed = [_pack(entries[i * n:(i + 1) * n], s) for i in range(nrows)]
+    pivots = _eliminate_packed(packed, n, s, p)
     flat = []
-    for v in packed[:pr]:  # the rows below the pivot rows are all zero
-        for _ in shifts:
-            flat.append((v & mask) % p)
-            v >>= s
-    flat += [0] * ((nrows - pr) * n)
+    for c, v in zip(pivots, packed):  # the rows below the pivot rows are all zero
+        flat += [0] * c
+        flat += _unpack(v >> c * s, n - c, s, p)
+    flat += [0] * ((nrows - len(pivots)) * n)
     return Matrix(nrows, n, tuple(flat), m.field), tuple(pivots), len(pivots)
 
 
@@ -414,8 +456,24 @@ def solve(m: Matrix, b: Matrix) -> Matrix | None:
     """
     if m.rows != b.rows or m.field != b.field:
         raise ShapeError(f"cannot solve {m.rows}x{m.cols} against {b.rows}x{b.cols}")
+    p = m.field.p
+    if p is not None:
+        # eliminate the packed rows of [m | b]; row pc of x is read off the
+        # right-hand slots of the pivot row of column pc
+        k, bc = m.cols, b.cols
+        s = ((m.rows + 1) * p * p).bit_length()
+        packed = [_pack(m.entries[i * k:(i + 1) * k], s)
+                  | _pack(b.entries[i * bc:(i + 1) * bc], s) << k * s
+                  for i in range(m.rows)]
+        pivots = _eliminate_packed(packed, k + bc, s, p)
+        if pivots and pivots[-1] >= k:
+            return None
+        rows = [[0] * bc] * k
+        for pc, v in zip(pivots, packed):
+            rows[pc] = _unpack(v >> k * s, bc, s, p)
+        return Matrix(k, bc, tuple(chain.from_iterable(rows)), m.field)
     aug, pivots, _ = rref(m.hstack(b))
-    if any(p >= m.cols for p in pivots):
+    if any(pc >= m.cols for pc in pivots):
         return None
     n = aug.cols
     rows = {pc: aug.entries[i * n + m.cols:(i + 1) * n] for i, pc in enumerate(pivots)}

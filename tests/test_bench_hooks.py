@@ -59,6 +59,29 @@ def test_tracer_counts_a_gf_kernel_reduction(tracer_module):
     assert tr.rref_entries == m.rows * m.cols
 
 
+def test_tracer_sees_gf_solves_and_products_in_their_own_spans(tracer_module):
+    # a GF(p) solve eliminates its packed rows inside linalg.solve, so it
+    # opens no linalg.rref span; a Q solve still reduces [m | b] through
+    # linalg.rref; a GF(p) product is still counted by Matrix.__matmul__
+    tr = tracer_module.Tracer()
+    gf = Matrix.from_int_rows(prime_field(7), [[0, 3, 1, 4], [2, 4, 6, 1], [2, 0, 0, 5]])
+    q = Matrix.from_int_rows(RATIONALS, [[1, 2, 3], [2, 4, 6]])
+    x = Matrix.from_int_rows(prime_field(7), [[1, 0], [6, 2], [0, 0], [3, 5]])
+    tr.install(counting=True)
+    try:
+        b = gf @ x  # looked up at call time, as the bench does
+        after_product = (tr.calls("linalg.matmul"), tr.madds)
+        gf_solution = linalg.solve(gf, b)
+        after_gf_solve = (tr.calls("linalg.solve"), tr.calls("linalg.rref"))
+        q_solution = linalg.solve(q, q)
+    finally:
+        tr.uninstall()
+    assert gf @ gf_solution == b and q @ q_solution == q
+    assert after_product == (1, gf.rows * gf.cols * x.cols)
+    assert after_gf_solve == (1, 0)
+    assert tr.calls("linalg.solve") == 2 and tr.calls("linalg.rref") == 1
+
+
 def test_tracer_counts_public_calls_that_read_cached_facts(tracer_module):
     # kernels, cokernels and a ladder's violations are kept with their
     # matrix or ladder; every public call still counts, the work only once

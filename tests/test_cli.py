@@ -479,6 +479,20 @@ def test_selftest_single_case_passes(run, seed):
     assert out.splitlines()[-1].endswith(" suites ok")
 
 
+@pytest.mark.parametrize("seed, drawn", [("6", {"Q": 5, "GF(7)": 8}),
+                                         ("21", {"Q": 6, "GF(7)": 6})])
+def test_selftest_snake_draws_ladders_until_a_delta_is_nonzero(run, seed, drawn):
+    # the first five ladders of these seeds all have a zero connecting
+    # morphism over GF(7), or over Q too, so the suite draws on until one
+    # does not, and counts every ladder it drew
+    code, out, err = run("selftest", "--cases", "1", "--seed", seed)
+    assert code == 0 and err == "", out
+    snake = {line.split("[")[1].split("]")[0]: line for line in out.splitlines()
+             if line.startswith("snake[")}
+    for field, cases in drawn.items():
+        assert snake[field].startswith(f"snake[{field}]: ok cases={cases} delta_nonzero=1 ")
+
+
 @pytest.mark.parametrize("cases", ["0", "-3"])
 def test_selftest_rejects_case_counts_below_one(run, cases):
     code, out, err = run("selftest", "--cases", cases, "--field", "q")

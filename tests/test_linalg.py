@@ -435,7 +435,7 @@ def _kernel_cases(rng, field):
     sparse and dense entries, rank-deficient products, and rows that every
     pivot clears, which fill the packed slots the most."""
     p = field.p
-    cases = [Matrix.zeros(field, 0, 4), Matrix.zeros(field, 4, 0),
+    cases = [Matrix.zeros(field, 0, 4), Matrix.zeros(field, 4, 0), Matrix.zeros(field, 0, 0),
              Matrix(1, 1, (p - 1,), field), Matrix.zeros(field, 1, 1)]
     for rows, cols in [(9, 4), (4, 9), (12, 12)]:
         cases.append(_sparse_random(rng, field, rows, cols))
@@ -467,22 +467,34 @@ def test_gf_kernels_match_reference_elimination(field):
         assert _same_bytes(got, want), m
         assert pivots == want_pivots and rk == len(want_pivots)
         assert _same_bytes(nullspace_basis(m), _reference_kernel(m, want, want_pivots)), m
-        rhs = [m @ _sparse_random(rng, field, m.cols, 2)]
+        # consistent, without columns, and all ones: inconsistent when m has
+        # no columns but has rows
+        rhs = [m @ _sparse_random(rng, field, m.cols, 2), Matrix.zeros(field, m.rows, 0),
+               Matrix(m.rows, 1, (1,) * m.rows, field)]
         if m.rows <= 20:  # the reference is slow at the dimension limit
             assert _same_bytes(left_nullspace_basis(m), _reference_cokernel(m)), m
             rhs.append(_dense_random(rng, field, m.rows, 1))  # mostly inconsistent
+            # wider than m: consistent, and dense
+            rhs.append(m @ _sparse_random(rng, field, m.cols, m.cols + 3))
+            rhs.append(_dense_random(rng, field, m.rows, m.cols + 3))
         for b in rhs:
             got_x, want_x = solve(m, b), _reference_solve(m, b)
             assert (got_x is None and want_x is None) or _same_bytes(got_x, want_x), (m, b)
 
 
-@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
+@pytest.mark.parametrize("field", [*REFERENCE_FIELDS, GF3], ids=str)
 def test_matmul_matches_reference_triple_loop(field):
     rng = random.Random(f"matmul:{field}")
     pairs = []
     for _ in range(60):
         m, k, n = (rng.randint(0, 6) for _ in range(3))
         pairs.append((_sparse_random(rng, field, m, k), _sparse_random(rng, field, k, n)))
+    # inner dimension 150 with every entry -1 (p - 1 over GF(p)): the largest
+    # sum a product slot holds; and inner dimension 0
+    top = field.from_int(-1)
+    for m, k, n in [(3, 150, 2), (1, 150, 150), (3, 0, 2), (0, 0, 4), (2, 0, 0)]:
+        pairs.append((Matrix(m, k, (top,) * (m * k), field),
+                      Matrix(k, n, (top,) * (k * n), field)))
     for block in _block_operands(field):
         pairs.append((_sparse_random(rng, field, rng.randint(0, 4), block.rows), block))
         pairs.append((block, _sparse_random(rng, field, block.cols, rng.randint(0, 4))))
@@ -554,14 +566,17 @@ def test_q_rref_divides_only_where_it_changes_something(monkeypatch):
 
 @pytest.mark.parametrize("field", [Q, GF2, GF7], ids=str)
 def test_rref_of_a_matrix_with_a_zero_dimension_eliminates_nothing(field, monkeypatch):
-    def no_elimination(rows, ncols):
+    def no_elimination(*args):
         raise AssertionError("eliminated a matrix without entries")
 
     for rows, cols in [(0, 4), (4, 0), (0, 0)]:
         m = Matrix.zeros(field, rows, cols)
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "_rref_rows", no_elimination)
+            patch.setattr(linalg, "_eliminate_packed", no_elimination)
             assert rref(m) == m.echelon == (Matrix(rows, cols, (), field), (), 0)
+        # the matrix is its own reduced form, so that form's echelon is this one
+        assert rref(m)[0] is m and m.echelon[0].echelon is m.echelon
         assert m.kernel_basis == Matrix.identity(field, cols)
         assert m.cokernel_basis == Matrix.identity(field, rows)
 
