@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, ShapeError
 from .fields import ScalarField
-from .linalg import (Matrix, cached_property, left_nullspace_basis, nullspace_basis,
-                     rank, solve)
+from .linalg import Matrix, cached_property, solve
 
 
 @dataclass(frozen=True, init=False)
@@ -68,7 +67,7 @@ class Mor:
 
     @property
     def rank(self) -> int:
-        return rank(self.mat)
+        return self.mat.echelon[2]
 
     @property
     def is_mono(self) -> bool:
@@ -174,12 +173,12 @@ class Biproduct:
 
 def kernel(f: Mor) -> KernelData:
     """The canonical kernel of ``f``, with its mono into the source."""
-    return KernelData(Mor(nullspace_basis(f.mat)), f)
+    return KernelData(Mor(f.mat.kernel_basis), f)
 
 
 def cokernel(f: Mor) -> CokernelData:
     """The canonical cokernel of ``f``, with its epi out of the target."""
-    return CokernelData(Mor(left_nullspace_basis(f.mat)), f)
+    return CokernelData(Mor(f.mat.cokernel_basis), f)
 
 
 def mono_lift(m: Mor, t: Mor) -> Mor:
@@ -210,7 +209,7 @@ def epi_colift(e: Mor, t: Mor) -> Mor:
         raise ShapeError(f"cannot colift {t.src}->{t.dst} through {e.src}->{e.dst}")
     sol = solve(e.mat.transpose(), t.mat.transpose())
     if sol is None:
-        residual = t.mat @ nullspace_basis(e.mat)
+        residual = t.mat @ e.mat.kernel_basis
         raise PreconditionError(
             f"no colift: {t} does not vanish on the kernel of {e}, residual {residual}"
         )

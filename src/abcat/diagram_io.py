@@ -105,15 +105,21 @@ def _refuse(digits: str) -> object:
         return _Refused(digits)
 
 
+def _parse_json(text: str, parse_int=None) -> object:
+    """``json.loads``; malformed or too deeply nested JSON is a format error."""
+    try:
+        return json.loads(text, parse_int=parse_int)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DiagramFormatError(f"invalid JSON: {exc}") from None
+
+
 def _load_json(text: str) -> object:
     """``json.loads``, but an over-long integer is refused by its path."""
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise DiagramFormatError(f"invalid JSON: {exc}") from None
+        return _parse_json(text)
     except ValueError:
         pass  # an integer over the digit limit: parse again to find its path
-    root = json.loads(text, parse_int=_refuse)
+    root = _parse_json(text, parse_int=_refuse)
     stack = [("$", root)]
     while stack:
         path, node = stack.pop()

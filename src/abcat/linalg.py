@@ -6,13 +6,15 @@ byte-equal outputs regardless of platform.  Zero-row and zero-column matrices
 are first-class citizens; they show up constantly as maps in and out of the
 null object.
 
-Over GF(p) a row is one int with an ``s``-bit slot per column (``_pack``).
-``_eliminate_packed`` is the one elimination loop of ``rref`` and ``solve``:
-clearing a row is one multiply-add ``row += (p - f) * pivot_row``.  Slots
-are reduced mod p only where they are read: the pivot row when it is chosen,
-so each addition is below ``p * p``, and a row takes at most ``rows`` of
-them, so ``s = ((rows + 1) * p * p).bit_length()`` bits never carry into the
-next slot.  A product packs each row of its right operand once; a product
+``_eliminate`` is the one reduction of ``rref`` and ``solve``: it holds the
+rows in the field's format and runs that field's loop.  Over Q a row is its
+entries, reduced by ``_rref_rows``.  Over GF(p) a row is one int with an
+``s``-bit slot per column (``_pack``), and ``_eliminate_packed`` clears a
+row with one multiply-add ``row += (p - f) * pivot_row``.  Slots are reduced
+mod p only where they are read: the pivot row when it is chosen, so each
+addition is below ``p * p``, and a row takes at most ``rows`` of them, so
+``s = ((rows + 1) * p * p).bit_length()`` bits never carry into the next
+slot.  A product packs each row of its right operand once; a product
 row is one multiply-add per nonzero left entry, and its slots sum at most
 ``k`` products below ``p * p``, so ``s = (k * p * p).bit_length()`` bits
 suffice for inner dimension ``k``.
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ShapeError
 from .fields import Scalar, ScalarField
@@ -164,7 +166,8 @@ class Matrix:
 
     @cached_property
     def echelon(self) -> tuple[Matrix, tuple[int, ...], int]:
-        """``rref(self)``: the reduced form, its pivot columns and the rank."""
+        """``rref(self)``: the reduced form, its pivot columns and the rank,
+        computed once; ``echelon[2]`` is the rank."""
         return rref(self)
 
     @cached_property
@@ -174,7 +177,12 @@ class Matrix:
 
     @cached_property
     def kernel_basis(self) -> Matrix:
-        """``nullspace_basis(self)``, read off ``echelon``."""
+        """The canonical basis of ``{x : self @ x = 0}``, read off ``echelon``.
+
+        One column per free column of the reduced form, in increasing order:
+        each sets its free variable to one and every other free variable to
+        zero.
+        """
         r, pivots, _ = self.echelon
         n = self.cols
         pivot_set = set(pivots)
@@ -193,8 +201,8 @@ class Matrix:
 
     @cached_property
     def cokernel_basis(self) -> Matrix:
-        """``left_nullspace_basis(self)``: the kernel basis of ``T``, as rows
-        in reduced form."""
+        """The canonical basis of ``{y : y @ self = 0}``: the kernel basis
+        of ``T``, stacked as rows in reduced form."""
         return self.T.kernel_basis.transpose().echelon[0]
 
     # -- arithmetic ----------------------------------------------------------
@@ -308,7 +316,7 @@ def _reduced(p: int | None, values: Iterable[Scalar]) -> tuple:
     return tuple(values) if p is None else tuple(map(p.__rmod__, values))
 
 
-def _rref_rows(rows: list[list[Fraction]], ncols: int) -> list[int]:
+def _rref_rows(rows: list[Sequence[Fraction]], ncols: int) -> list[int]:
     """Reduce the rational ``rows`` in place; returns the pivot column indices.
 
     The pivot is the first nonzero entry scanning top to bottom, then left to
@@ -399,53 +407,44 @@ def _eliminate_packed(packed: list[int], n: int, s: int, p: int) -> list[int]:
     return pivots
 
 
+def _eliminate(p: int | None, rows: list[Sequence[Scalar]],
+               n: int) -> tuple[list[int], Callable[[int, int], Sequence[Scalar]]]:
+    """Reduce ``rows`` of ``n`` entries each in the field's row format:
+    the rows themselves over Q (the list is reduced in place), packed ints
+    over GF(p).
+
+    Returns the pivot columns and ``tail(i, lo)``, entries ``lo`` to ``n`` of
+    reduced row ``i``.  The pivot rows come first, in pivot order, each zero
+    left of its pivot; the rows below them are zero.
+    """
+    if p is None:
+        pivots = _rref_rows(rows, n)
+        return pivots, lambda i, lo: rows[i][lo:]
+    s = ((len(rows) + 1) * p * p).bit_length()
+    packed = [_pack(row, s) for row in rows]
+    pivots = _eliminate_packed(packed, n, s, p)
+    return pivots, lambda i, lo: _unpack(packed[i] >> lo * s, n - lo, s, p)
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form with its pivot columns and rank.
 
     Pivot choice is the first nonzero entry top to bottom, left to right, so
     the result is canonical for each matrix.  A matrix with a zero dimension
-    has no entries to reduce and is its own reduced form.  Each call reduces
+    has no entries to reduce; its reduced form is an equal new matrix, so
+    that a kept echelon form never holds its own matrix.  Each call reduces
     afresh; ``Matrix.echelon`` keeps the result with its matrix.
     """
-    p, nrows, n, entries = m.field.p, m.rows, m.cols, m.entries
+    nrows, n, entries = m.rows, m.cols, m.entries
     if not nrows or not n:
-        return m, (), 0
-    if p is None:
-        rows = m.row_list()
-        pivots = _rref_rows(rows, n)
-        flat = tuple(x for row in rows for x in row)
-        return Matrix(nrows, n, flat, m.field), tuple(pivots), len(pivots)
-    s = ((nrows + 1) * p * p).bit_length()
-    packed = [_pack(entries[i * n:(i + 1) * n], s) for i in range(nrows)]
-    pivots = _eliminate_packed(packed, n, s, p)
-    flat = []
-    for c, v in zip(pivots, packed):  # the rows below the pivot rows are all zero
-        flat += [0] * c
-        flat += _unpack(v >> c * s, n - c, s, p)
-    flat += [0] * ((nrows - len(pivots)) * n)
+        return Matrix(nrows, n, (), m.field), (), 0
+    pivots, tail = _eliminate(m.field.p, [entries[i * n:(i + 1) * n] for i in range(nrows)], n)
+    zero, flat = m.field.zero(), []
+    for i, c in enumerate(pivots):
+        flat += [zero] * c
+        flat += tail(i, c)
+    flat += [zero] * ((nrows - len(pivots)) * n)
     return Matrix(nrows, n, tuple(flat), m.field), tuple(pivots), len(pivots)
-
-
-def rank(m: Matrix) -> int:
-    return m.echelon[2]
-
-
-def nullspace_basis(m: Matrix) -> Matrix:
-    """Canonical kernel basis, one column per free column of the rref.
-
-    Each basis vector sets its free variable to one and every other free
-    variable to zero; columns are ordered by increasing free column index.
-    Computed once per matrix and kept as ``m.kernel_basis``.
-    """
-    return m.kernel_basis
-
-
-def left_nullspace_basis(m: Matrix) -> Matrix:
-    """Canonical basis of ``{y : y @ m = 0}``, stacked as rows in rref form.
-
-    Computed once per matrix and kept as ``m.cokernel_basis``.
-    """
-    return m.cokernel_basis
 
 
 def solve(m: Matrix, b: Matrix) -> Matrix | None:
@@ -456,30 +455,18 @@ def solve(m: Matrix, b: Matrix) -> Matrix | None:
     """
     if m.rows != b.rows or m.field != b.field:
         raise ShapeError(f"cannot solve {m.rows}x{m.cols} against {b.rows}x{b.cols}")
-    p = m.field.p
-    if p is not None:
-        # eliminate the packed rows of [m | b]; row pc of x is read off the
-        # right-hand slots of the pivot row of column pc
-        k, bc = m.cols, b.cols
-        s = ((m.rows + 1) * p * p).bit_length()
-        packed = [_pack(m.entries[i * k:(i + 1) * k], s)
-                  | _pack(b.entries[i * bc:(i + 1) * bc], s) << k * s
-                  for i in range(m.rows)]
-        pivots = _eliminate_packed(packed, k + bc, s, p)
-        if pivots and pivots[-1] >= k:
-            return None
-        rows = [[0] * bc] * k
-        for pc, v in zip(pivots, packed):
-            rows[pc] = _unpack(v >> k * s, bc, s, p)
-        return Matrix(k, bc, tuple(chain.from_iterable(rows)), m.field)
-    aug, pivots, _ = rref(m.hstack(b))
-    if any(pc >= m.cols for pc in pivots):
+    # reduce the rows of [m | b]; row c of x is read off the right-hand part
+    # of the pivot row of column c
+    k, bc = m.cols, b.cols
+    rows = [m.entries[i * k:(i + 1) * k] + b.entries[i * bc:(i + 1) * bc]
+            for i in range(m.rows)]
+    pivots, tail = _eliminate(m.field.p, rows, k + bc)
+    if pivots and pivots[-1] >= k:
         return None
-    n = aug.cols
-    rows = {pc: aug.entries[i * n + m.cols:(i + 1) * n] for i, pc in enumerate(pivots)}
-    zero_row = (m.field.zero(),) * b.cols
-    ents = tuple(x for c in range(m.cols) for x in rows.get(c, zero_row))
-    return Matrix(m.cols, b.cols, ents, m.field)
+    x = [(m.field.zero(),) * bc] * k
+    for i, c in enumerate(pivots):
+        x[c] = tail(i, k)
+    return Matrix(k, bc, tuple(chain.from_iterable(x)), m.field)
 
 
 def solve_with_column_order(m: Matrix, b: Matrix, order: Sequence[int]) -> Matrix | None:

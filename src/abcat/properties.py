@@ -53,7 +53,7 @@ from .diagrams import (
 )
 from .diagram_io import diagram_for_snake, serialize
 from .fields import RATIONALS, ScalarField, prime_field
-from .linalg import Matrix, nullspace_basis, rank, rref, solve
+from .linalg import Matrix, rref, solve
 from .snake import (
     SnakeInput,
     chase_delta,
@@ -261,10 +261,10 @@ def check_linalg(cases: int, seed: int, field: ScalarField) -> SuiteResult:
         rec.check(rref(r)[0] == r, f"case {i}: rref not idempotent")
         rec.check(rnk == len(pivots) <= min(m.rows, m.cols) or m.rows * m.cols == 0,
                   f"case {i}: rank bookkeeping off")
-        ns = nullspace_basis(m)
+        ns = m.kernel_basis
         rec.check(ns.cols == m.cols - rnk, f"case {i}: nullity mismatch")
         rec.check((m @ ns).is_zero, f"case {i}: nullspace columns not killed")
-        rec.check(rank(ns) == ns.cols, f"case {i}: nullspace basis dependent")
+        rec.check(ns.echelon[2] == ns.cols, f"case {i}: nullspace basis dependent")
         x0 = rand_matrix(rng, cfg, m.cols, 1)
         b = m @ x0
         x = solve(m, b)
@@ -281,7 +281,7 @@ def _alt_factorize(f: Mor) -> Factorization:
     # independent image basis: greedy column scan right to left
     kept: list[int] = []
     for c in reversed(range(f.mat.cols)):
-        if rank(f.mat.take_columns([*kept, c])) > len(kept):
+        if f.mat.take_columns([*kept, c]).echelon[2] > len(kept):
             kept.append(c)
     mono_mat = f.mat.take_columns(kept)
     return Factorization(Mor(solve(mono_mat, f.mat)), Mor(mono_mat))

@@ -27,7 +27,7 @@ from abcat.diagrams import GenConfig, gen_morphism
 from abcat.errors import PreconditionError, ShapeError
 from abcat.fields import RATIONALS, prime_field
 from abcat import linalg
-from abcat.linalg import Matrix, rank
+from abcat.linalg import Matrix
 
 Q = RATIONALS
 GF5 = prime_field(5)
@@ -295,7 +295,7 @@ def test_rank_nullity_bookkeeping_randomized():
         assert (f @ kd.ker_mor).is_zero
         assert (cd.coker_mor @ f).is_zero
         assert kd.ker_mor.is_mono and cd.coker_mor.is_epi
-        assert rank(kd.ker_mor.mat) == kd.ker_obj.dim
+        assert kd.ker_mor.mat.echelon[2] == kd.ker_obj.dim
 
 
 def test_one_echelon_form_per_matrix(monkeypatch):

@@ -346,6 +346,16 @@ def test_over_long_json_integer_is_input_error_in_plain_words(run, tmp_path, old
     assert err == f"error: {message}, more than the limit of {limit} digits\n"
 
 
+@pytest.mark.parametrize("text", [
+    '{"meta": {"n": ' + "7" * 5000 + ', "x": ' + "[" * 100_000 + "]" * 100_000 + "}}",
+    '{"objects": {"A": ' + "7" * 5000 + '}, "field": ',
+], ids=["too deep", "truncated"])
+def test_invalid_json_after_an_over_long_integer_is_input_error(run, tmp_path, text):
+    code, out, err = run("factor", _write(tmp_path, "d.json", text), "--morphism", "f")
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON: ")
+
+
 def test_file_that_is_not_utf8_is_input_error_naming_it(run, tmp_path):
     data = (GOLDEN / "pair_q_seed1.json").read_bytes()
     path = tmp_path / "latin1.json"

@@ -168,6 +168,21 @@ def test_over_long_json_integer_is_refused_by_path(mutate, digits, path):
                               f"more than the limit of {limit} digits")
 
 
+# the second parse, which finds the over-long integer's path, meets what
+# the first one stopped before: nesting too deep, or the end of the text
+AFTER_A_LONG_INTEGER = {
+    "too deep": '{"meta": {"n": ' + "7" * 5000 + ', "x": ' + "[" * 100_000 + "]" * 100_000 + "}}",
+    "truncated": '{"objects": {"A": ' + "7" * 5000 + '}, "field": ',
+}
+
+
+@pytest.mark.parametrize("text", AFTER_A_LONG_INTEGER.values(), ids=AFTER_A_LONG_INTEGER)
+def test_invalid_json_after_an_over_long_integer_is_invalid_json(text):
+    with pytest.raises(DiagramFormatError) as exc:
+        parse_text(text)
+    assert str(exc.value).startswith("invalid JSON: ")
+
+
 def test_over_long_json_integer_overwritten_by_a_repeated_key_is_ignored():
     if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
         pytest.skip("this interpreter converts numerals of any length")

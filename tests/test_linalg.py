@@ -8,9 +8,11 @@ every vector and compare against the honest kernel.
 """
 
 from fractions import Fraction
+import gc
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 import sympy
@@ -20,15 +22,7 @@ from abcat.category import Mor, Obj, biproduct
 from abcat.diagram_io import diagram_for_morphism, parse_text, serialize
 from abcat.errors import ShapeError
 from abcat.fields import RATIONALS, GFElement, prime_field
-from abcat.linalg import (
-    Matrix,
-    left_nullspace_basis,
-    nullspace_basis,
-    rank,
-    rref,
-    solve,
-    solve_with_column_order,
-)
+from abcat.linalg import Matrix, rref, solve, solve_with_column_order
 
 Q = RATIONALS
 GF2 = prime_field(2)
@@ -69,10 +63,10 @@ def test_zero_row_and_zero_column_shapes():
     assert (a @ b).rows == 0 and (a @ b).cols == 0
     assert (b @ a).rows == 3 and (b @ a).cols == 3
     assert (b @ a).is_zero
-    assert rank(a) == 0 and rank(b) == 0
+    assert a.echelon[2] == 0 and b.echelon[2] == 0
     # kernel of a 0x3 map is everything, cokernel of a 3x0 map is everything
-    assert nullspace_basis(a) == Matrix.identity(Q, 3)
-    assert left_nullspace_basis(b) == Matrix.identity(Q, 3)
+    assert a.kernel_basis == Matrix.identity(Q, 3)
+    assert b.cokernel_basis == Matrix.identity(Q, 3)
 
 
 def test_hstack_vstack_shape_errors():
@@ -114,7 +108,7 @@ def test_rref_idempotent_on_fixed_case():
     m = qmat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     r1 = rref(m)[0]
     assert rref(r1)[0] == r1
-    assert rank(m) == 2
+    assert m.echelon[2] == 2
 
 
 def test_rref_gf7_rank_one():
@@ -127,29 +121,29 @@ def test_rref_gf7_rank_one():
 
 def test_nullspace_canonical_normalization():
     # free column gets coefficient 1, pivots solved back
-    n = nullspace_basis(qmat([[1, 1]], cols=2))
+    n = qmat([[1, 1]], cols=2).kernel_basis
     assert n == qmat([[-1], [1]])
-    n2 = nullspace_basis(qmat([[1, 2], [2, 4]]))
+    n2 = qmat([[1, 2], [2, 4]]).kernel_basis
     assert n2 == qmat([[-2], [1]])
 
 
 def test_nullspace_of_injective_map_is_empty():
-    n = nullspace_basis(qmat([[1], [0]], cols=1))
+    n = qmat([[1], [0]], cols=1).kernel_basis
     assert n.rows == 1 and n.cols == 0
 
 
 def test_nullspace_gf7():
-    n = nullspace_basis(gfmat(GF7, [[3, 1], [1, 5]]))
+    n = gfmat(GF7, [[3, 1], [1, 5]]).kernel_basis
     # x0 = -5 x1 = 2 x1
     assert n == gfmat(GF7, [[2], [1]])
 
 
 def test_left_nullspace_rows_in_rref_form():
-    ln = left_nullspace_basis(qmat([[1, 2], [2, 4]]))
+    ln = qmat([[1, 2], [2, 4]]).cokernel_basis
     assert ln.rows == 1 and ln.cols == 2
     assert ln.entry(0, 0) == Fraction(1)
     assert ln.entry(0, 1) == Fraction(-1, 2)
-    ln2 = left_nullspace_basis(qmat([[1], [1]], cols=1))
+    ln2 = qmat([[1], [1]], cols=1).cokernel_basis
     assert ln2 == qmat([[1, -1]])
 
 
@@ -210,11 +204,11 @@ def test_nullspace_columns_annihilated_and_complete_sympy():
     rng = random.Random(99)
     for _ in range(60):
         m = _random_qmat(rng, rng.randint(1, 4), rng.randint(1, 4))
-        n = nullspace_basis(m)
+        n = m.kernel_basis
         assert (m @ n).is_zero
         sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(e) for e in m.entries])
         assert n.cols == m.cols - sm.rank()
-        assert rank(n) == n.cols
+        assert n.echelon[2] == n.cols
 
 
 def _brute_kernel(m):
@@ -238,10 +232,10 @@ def test_nullspace_matches_brute_force_enumeration(field):
             [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)],
             cols,
         )
-        n = nullspace_basis(m)
+        n = m.kernel_basis
         kernel = _brute_kernel(m)
         assert len(kernel) == field.p ** n.cols  # basis spans: count matches
-        assert rank(n) == n.cols  # and is independent
+        assert n.echelon[2] == n.cols  # and is independent
         for j in range(n.cols):
             col = tuple(n.entry(i, j) for i in range(n.rows))
             assert col in kernel
@@ -251,9 +245,9 @@ def test_left_nullspace_kills_rows_randomized():
     rng = random.Random(5)
     for _ in range(60):
         m = _random_qmat(rng, rng.randint(0, 4), rng.randint(0, 4))
-        ln = left_nullspace_basis(m)
+        ln = m.cokernel_basis
         assert (ln @ m).is_zero
-        assert ln.rows == m.rows - rank(m)
+        assert ln.rows == m.rows - m.echelon[2]
         # rows already in reduced echelon form: rref is a no-op
         assert rref(ln)[0] == ln
 
@@ -395,7 +389,7 @@ def test_rref_matches_reference_elimination(field):
 
 def _reference_kernel(m, r, pivots):
     """One column per free column of ``m``'s reference rref ``r``, as in
-    nullspace_basis."""
+    ``Matrix.kernel_basis``."""
     zero, one = _lift(m.field, m.field.zero()), _lift(m.field, m.field.one())
     free = [c for c in range(m.cols) if c not in pivots]
     cols = []
@@ -426,39 +420,45 @@ def _reference_solve(m, b):
 
 
 def _dense_random(rng, field, rows, cols):
+    """Anywhere in [0, p) over GF(p); nonzero over Q."""
+    if field.p is None:
+        return Matrix(rows, cols, tuple(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                                 rng.randint(1, 4))
+                                        for _ in range(rows * cols)), field)
     return Matrix(rows, cols, tuple(field.from_int(rng.randrange(field.p))
                                     for _ in range(rows * cols)), field)
 
 
 def _kernel_cases(rng, field):
-    """Inputs for the GF(p) elimination: empty, tiny, tall and wide shapes,
+    """Inputs for both eliminations: empty, tiny, tall and wide shapes,
     sparse and dense entries, rank-deficient products, and rows that every
-    pivot clears, which fill the packed slots the most."""
-    p = field.p
+    pivot clears, which fill the packed GF(p) slots the most."""
+    top = field.from_int(-1)
     cases = [Matrix.zeros(field, 0, 4), Matrix.zeros(field, 4, 0), Matrix.zeros(field, 0, 0),
-             Matrix(1, 1, (p - 1,), field), Matrix.zeros(field, 1, 1)]
+             Matrix(1, 1, (top,), field), Matrix.zeros(field, 1, 1)]
     for rows, cols in [(9, 4), (4, 9), (12, 12)]:
         cases.append(_sparse_random(rng, field, rows, cols))
         cases.append(_dense_random(rng, field, rows, cols))
     cases.append(_dense_random(rng, field, 14, 5) @ _dense_random(rng, field, 5, 11))
     n = 16
-    # all entries p - 1 on and below the diagonal: the last row is cleared by
-    # every pivot
-    cases.append(Matrix.from_int_rows(field, [[p - 1 if j <= i else 0 for j in range(n)]
+    # all entries -1 (p - 1 over GF(p)) on and below the diagonal: the last
+    # row is cleared by every pivot
+    cases.append(Matrix.from_int_rows(field, [[-1 if j <= i else 0 for j in range(n)]
                                               for i in range(n)]))
     # every pivot row ends in p - 1 and the last row's entry under each pivot
     # is 1, so each clearing adds (p - 1)^2 to the last row's last slot
     cases.append(Matrix.from_int_rows(
-        field, [[1 if j == i else p - 1 if j == n - 1 else 0 for j in range(n)]
+        field, [[1 if j == i else -1 if j == n - 1 else 0 for j in range(n)]
                 for i in range(n - 1)] + [[1] * n]))
-    # a pullback's [c | -d] at the dimension limit, c and d of rank 1
-    c, d = (_dense_random(rng, field, 150, 1) @ _dense_random(rng, field, 1, 150)
-            for _ in range(2))
-    cases.append(c.hstack(-d))
+    if field.p is not None:  # the Fraction reference takes seconds at this size
+        # a pullback's [c | -d] at the dimension limit, c and d of rank 1
+        c, d = (_dense_random(rng, field, 150, 1) @ _dense_random(rng, field, 1, 150)
+                for _ in range(2))
+        cases.append(c.hstack(-d))
     return cases
 
 
-@pytest.mark.parametrize("field", [GF2, GF3, GF7, GF_BIG], ids=str)
+@pytest.mark.parametrize("field", [Q, GF2, GF3, GF7, GF_BIG], ids=str)
 def test_gf_kernels_match_reference_elimination(field):
     rng = random.Random(f"kernels:{field}")
     for m in _kernel_cases(rng, field):
@@ -466,13 +466,13 @@ def test_gf_kernels_match_reference_elimination(field):
         want, want_pivots = _reference_rref(m)
         assert _same_bytes(got, want), m
         assert pivots == want_pivots and rk == len(want_pivots)
-        assert _same_bytes(nullspace_basis(m), _reference_kernel(m, want, want_pivots)), m
+        assert _same_bytes(m.kernel_basis, _reference_kernel(m, want, want_pivots)), m
         # consistent, without columns, and all ones: inconsistent when m has
         # no columns but has rows
         rhs = [m @ _sparse_random(rng, field, m.cols, 2), Matrix.zeros(field, m.rows, 0),
-               Matrix(m.rows, 1, (1,) * m.rows, field)]
+               Matrix(m.rows, 1, (field.one(),) * m.rows, field)]
         if m.rows <= 20:  # the reference is slow at the dimension limit
-            assert _same_bytes(left_nullspace_basis(m), _reference_cokernel(m)), m
+            assert _same_bytes(m.cokernel_basis, _reference_cokernel(m)), m
             rhs.append(_dense_random(rng, field, m.rows, 1))  # mostly inconsistent
             # wider than m: consistent, and dense
             rhs.append(m @ _sparse_random(rng, field, m.cols, m.cols + 3))
@@ -530,8 +530,7 @@ def test_every_gf_matrix_path_returns_int_residues(field):
         "transpose": a.transpose(), "T": a.T,
         "hstack": a.hstack(a), "vstack": a.vstack(a),
         "split_rows": a.split_rows(1)[1], "split_cols": a.split_cols(2)[1],
-        "kernel_basis": a.kernel_basis, "nullspace_basis": nullspace_basis(a),
-        "cokernel_basis": b.cokernel_basis, "left_nullspace_basis": left_nullspace_basis(b),
+        "kernel_basis": a.kernel_basis, "cokernel_basis": b.cokernel_basis,
         "solve": solve(a, a @ x),
         "solve_with_column_order": solve_with_column_order(a, a @ x, [3, 1, 0, 2]),
     }
@@ -575,10 +574,18 @@ def test_rref_of_a_matrix_with_a_zero_dimension_eliminates_nothing(field, monkey
             patch.setattr(linalg, "_rref_rows", no_elimination)
             patch.setattr(linalg, "_eliminate_packed", no_elimination)
             assert rref(m) == m.echelon == (Matrix(rows, cols, (), field), (), 0)
-        # the matrix is its own reduced form, so that form's echelon is this one
-        assert rref(m)[0] is m and m.echelon[0].echelon is m.echelon
+        assert rref(m)[0] == m and m.echelon[0].echelon == m.echelon
         assert m.kernel_basis == Matrix.identity(field, cols)
         assert m.cokernel_basis == Matrix.identity(field, rows)
+        # the kept facts hold no reference back to the matrix, so reference
+        # counting frees it without the cycle collector
+        freed = weakref.ref(m)
+        gc.disable()
+        try:
+            del m
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 def test_indices_out_of_range_are_shape_errors():
