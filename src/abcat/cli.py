@@ -244,14 +244,11 @@ def cmd_snake(args: argparse.Namespace) -> int:
         report.derived["trace_h"] = str(tr.h.mat)
     if args.oracle:
         chased = chase_delta(inp)
-        up_to_sign = out.delta == chased or out.delta == -chased
-        report.verdicts["oracle_matches_up_to_sign"] = up_to_sign
-        if out.delta.is_zero:
-            sign = "0"
-        else:
-            sign = "+1" if out.delta == chased else ("-1" if out.delta == -chased else "?")
+        if out.delta != chased:
+            raise InternalCheckError("the connecting morphism differs from the element chase")
+        report.verdicts["oracle_matches_up_to_sign"] = True
         report.derived["chase"] = str(chased.mat)
-        report.derived["oracle_sign"] = sign
+        report.derived["oracle_sign"] = "0" if chased.is_zero else "+1"
     return _emit(report)
 
 

@@ -167,9 +167,15 @@ class ScalarField:
         return value
 
     def format(self, x: Scalar) -> str:
+        """The literal of ``x``.  An entry with a numeral over
+        ``sys.get_int_max_str_digits()`` digits is refused."""
         if not self.contains(x):
             raise ValueError(f"scalar {x!r} does not belong to {self}")
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:
+            raise ValueError(f"a result entry exceeds the limit of "
+                             f"{sys.get_int_max_str_digits()} digits") from None
 
     def __str__(self) -> str:
         return "Q" if self.p is None else f"GF({self.p})"

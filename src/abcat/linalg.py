@@ -468,19 +468,3 @@ def solve(m: Matrix, b: Matrix) -> Matrix | None:
         x[c] = tail(i, k)
     return Matrix(k, bc, tuple(chain.from_iterable(x)), m.field)
 
-
-def solve_with_column_order(m: Matrix, b: Matrix, order: Sequence[int]) -> Matrix | None:
-    """Solve ``m @ x = b`` after permuting the unknowns by ``order``.
-
-    A different column order picks a different particular solution, which is
-    what well-definedness checks need.
-    """
-    if sorted(order) != list(range(m.cols)):
-        raise ShapeError(f"order must permute range({m.cols})")
-    y = solve(m.take_columns(order), b)
-    if y is None:
-        return None
-    # row k of y is the unknown order[k]
-    rows = {c: y.entries[k * b.cols:(k + 1) * b.cols] for k, c in enumerate(order)}
-    ents = tuple(x for c in range(m.cols) for x in rows[c])
-    return Matrix(m.cols, b.cols, ents, m.field)

@@ -132,31 +132,18 @@ def test_criterion_05_snake_exactness(snake_family):
 
 
 def test_criterion_06_chase_oracle(snake_family):
-    sign = 0
+    # every delta equals its chase, so the global sign is +1
     bad = []
     nonzero = 0
     for idx, inp in enumerate(snake_family):
         delta, _ = connecting_morphism(inp)
-        chased = chase_delta(inp)
-        if delta.is_zero:
-            if not chased.is_zero:
-                bad.append(f"#{idx} zero delta, nonzero chase")
-            continue
-        nonzero += 1
-        if delta == chased:
-            here = 1
-        elif delta == -chased:
-            here = -1
-        else:
-            bad.append(f"#{idx} differs beyond sign")
-            continue
-        if sign == 0:
-            sign = here  # discovered once...
-        elif here != sign:  # ...asserted thereafter
-            bad.append(f"#{idx} sign flip")
-    ok = not bad and sign != 0
+        if delta != chase_delta(inp):
+            bad.append(f"#{idx} delta differs from the chase")
+        elif not delta.is_zero:
+            nonzero += 1
+    ok = not bad and nonzero > 0
     _gate(6, "connecting morphism vs element chase", ok,
-          f"global sign {sign:+d}, {nonzero} nonzero instances"
+          f"global sign +1, {nonzero} nonzero instances"
           + (f"; {bad[:3]}" if bad else ""))
 
 

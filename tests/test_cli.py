@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -260,6 +261,16 @@ def test_snake_builds_delta_once_and_validates_once(run, monkeypatch):
     assert calls == {"pullback": 1, "is_exact_pair": 6}
 
 
+def test_snake_oracle_mismatch_is_a_bug(run, monkeypatch):
+    # the chase must equal delta itself, so a chase of the opposite sign is a
+    # failed internal identity, not a verdict
+    monkeypatch.setattr(cli, "chase_delta", lambda inp: -snake.chase_delta(inp))
+    code, out, err = run("snake", str(GOLDEN / "worked_snake.json"), "--oracle")
+    assert code == 3 and out == ""
+    assert err == ("internal error (this is a bug): "
+                   "the connecting morphism differs from the element chase\n")
+
+
 def test_square_decompose_analyses_once(run, monkeypatch):
     calls = []
     pullback = squares.pullback
@@ -327,6 +338,24 @@ def test_over_long_literal_is_input_error_in_plain_words(run, tmp_path):
     assert code == 2 and out == ""
     assert err == (f"error: morphisms.f.matrix[0][1]: literal has {limit + 100} digits, "
                    f"more than the limit of {limit} digits\n")
+
+
+def test_over_long_result_entry_is_input_error_in_plain_words(run, tmp_path):
+    # entries of half the digit limit are accepted, but the reduced form's
+    # entries, ratios of 3x3 minors, have about three times as many digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts numerals of any length")
+    rng, digits = random.Random(5), limit // 2
+    rows = [[str(rng.randrange(10**(digits - 1), 10**digits)) for _ in range(4)]
+            for _ in range(3)]
+    doc = {"field": {"kind": "Q"}, "objects": {"A": 4, "B": 3},
+           "morphisms": {"f": {"src": "A", "dst": "B", "matrix": rows}},
+           "diagram": {"kind": "morphism", "roles": {"f": "f"}}}
+    path = _write(tmp_path, "big.json", json.dumps(doc))
+    code, out, err = run("factor", path, "--morphism", "f")
+    assert code == 2 and out == ""
+    assert err == f"error: a result entry exceeds the limit of {limit} digits\n"
 
 
 @pytest.mark.parametrize("old, new, message", [
@@ -521,6 +550,12 @@ def test_selftest_matches_golden_bytes(run):
     code, out, err = run("selftest", "--cases", "20", "--seed", "1")
     assert code == 0 and err == ""
     assert out == (GOLDEN / "selftest_cases20_seed1.txt").read_text(encoding="utf-8")
+
+
+def test_selftest_60_cases_matches_golden_bytes(run):
+    code, out, err = run("selftest", "--cases", "60", "--seed", "3")
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "selftest_cases60_seed3.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name, exc, suite, cases", [

@@ -154,3 +154,15 @@ def test_over_long_literals_name_their_length_and_the_limit():
             field.parse(text)
         assert str(info.value) == (f"literal has {digits} digits, more than the limit "
                                    f"of {limit} digits")
+
+
+def test_over_long_result_entries_are_refused_in_plain_words():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts numerals of any length")
+    longest = 10**limit - 1
+    assert RATIONALS.format(Fraction(-longest, longest - 1)) == f"-{longest}/{longest - 1}"
+    for x in (Fraction(10**limit), Fraction(1, 10**limit)):
+        with pytest.raises(ValueError) as info:
+            RATIONALS.format(x)
+        assert str(info.value) == f"a result entry exceeds the limit of {limit} digits"

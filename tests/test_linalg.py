@@ -22,7 +22,7 @@ from abcat.category import Mor, Obj, biproduct
 from abcat.diagram_io import diagram_for_morphism, parse_text, serialize
 from abcat.errors import ShapeError
 from abcat.fields import RATIONALS, GFElement, prime_field
-from abcat.linalg import Matrix, rref, solve, solve_with_column_order
+from abcat.linalg import Matrix, rref, solve
 
 Q = RATIONALS
 GF2 = prime_field(2)
@@ -162,13 +162,6 @@ def test_solve_multiple_columns():
     b = m @ qmat([[3, -1], [2, 5]])
     x = solve(m, b)
     assert x is not None and m @ x == b
-
-
-def test_solve_with_column_order_prefers_listed_columns():
-    m = qmat([[1, 1]], cols=2)
-    b = qmat([[2]], cols=1)
-    assert solve_with_column_order(m, b, (0, 1)) == qmat([[2], [0]])
-    assert solve_with_column_order(m, b, (1, 0)) == qmat([[0], [2]])
 
 
 def test_solve_rejects_row_mismatch():
@@ -532,7 +525,6 @@ def test_every_gf_matrix_path_returns_int_residues(field):
         "split_rows": a.split_rows(1)[1], "split_cols": a.split_cols(2)[1],
         "kernel_basis": a.kernel_basis, "cokernel_basis": b.cokernel_basis,
         "solve": solve(a, a @ x),
-        "solve_with_column_order": solve_with_column_order(a, a @ x, [3, 1, 0, 2]),
     }
     for name, m in made.items():
         assert m.entries, name
