@@ -7,11 +7,13 @@ Conventions fixed here and used everywhere downstream:
   columns of the map;
 * a pullback of ``(c, d)`` is the kernel ``n`` of ``[c | -d]`` on the
   biproduct of their sources, with legs ``f, g`` the row blocks of ``n``;
+  its mediating map is the kernel lift of ``[x; y]`` through ``n``;
 * a pushout of ``(a, b)`` is the cokernel ``t`` of ``[a; b]`` into the
   biproduct of their targets, with legs ``r = t @ i`` and ``s = -(t @ j)``,
   the column blocks of ``t`` with the second negated; the sign makes
   ``r @ a = s @ b`` hold exactly, and every later sign (including the
-  connecting morphism's) inherits from this choice.  Blocks are sliced and
+  connecting morphism's) inherits from this choice.  Its mediating map is
+  the cokernel colift of ``[x | -y]`` through ``t``.  Blocks are sliced and
   stacked, never multiplied by the biproduct's 0/1 insertions and projections.
 """
 
@@ -20,15 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import (
+    CokernelData,
+    KernelData,
     Mor,
     Obj,
     cokernel,
-    epi_colift,
+    cokernel_colift,
     kernel,
     kernel_lift,
-    mono_lift,
 )
-from .errors import InternalCheckError, PreconditionError, ShapeError
+from .errors import InternalCheckError, ShapeError
 from .linalg import solve
 
 
@@ -98,20 +101,13 @@ def pullback(c: Mor, d: Mor) -> PullbackData:
 
 
 def pullback_lift(pb: PullbackData, x: Mor, y: Mor) -> Mor:
-    """The unique ``e`` with ``pb.f @ e = x`` and ``pb.g @ e = y``.
-
-    Requires ``c @ x = d @ y``; anything else is a precondition error.
-    """
+    """The unique ``e`` with ``pb.f @ e = x`` and ``pb.g @ e = y``; requires
+    ``c @ x - d @ y = diff @ [x; y]`` to vanish, as its kernel lift does."""
     if x.src != y.src:
         raise ShapeError(f"lift legs need a common source: {x.src} vs {y.src}")
     if x.dst != pb.c.src or y.dst != pb.d.src:
         raise ShapeError("lift legs do not land in the pullback's corners")
-    residual = pb.c @ x - pb.d @ y
-    if not residual.is_zero:
-        raise PreconditionError(
-            f"pullback lift needs c @ x = d @ y, got residual {residual.mat}"
-        )
-    return mono_lift(pb.n, Mor(x.mat.vstack(y.mat)))
+    return kernel_lift(KernelData(pb.n, pb.diff), Mor(x.mat.vstack(y.mat)))
 
 
 def pushout(a: Mor, b: Mor) -> PushoutData:
@@ -125,20 +121,13 @@ def pushout(a: Mor, b: Mor) -> PushoutData:
 
 
 def pushout_colift(po: PushoutData, x: Mor, y: Mor) -> Mor:
-    """The unique ``m`` with ``m @ po.r = x`` and ``m @ po.s = y``.
-
-    Requires ``x @ a = y @ b``.
-    """
+    """The unique ``m`` with ``m @ po.r = x`` and ``m @ po.s = y``; requires
+    ``x @ a - y @ b = [x | -y] @ summed`` to vanish, as its cokernel colift does."""
     if x.dst != y.dst:
         raise ShapeError(f"colift legs need a common target: {x.dst} vs {y.dst}")
     if x.src != po.a.dst or y.src != po.b.dst:
         raise ShapeError("colift legs do not start at the pushout's corners")
-    residual = x @ po.a - y @ po.b
-    if not residual.is_zero:
-        raise PreconditionError(
-            f"pushout colift needs x @ a = y @ b, got residual {residual.mat}"
-        )
-    return epi_colift(po.t, Mor(x.mat.hstack(-y.mat)))
+    return cokernel_colift(CokernelData(po.t, po.summed), Mor(x.mat.hstack(-y.mat)))
 
 
 def same_subobject(m1: Mor, m2: Mor) -> bool:

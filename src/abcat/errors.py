@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+
 
 class AbcatError(Exception):
     """Base class for every error raised by this package."""
@@ -16,6 +19,16 @@ class PreconditionError(AbcatError):
 class InternalCheckError(AbcatError):
     """An identity that must hold by construction failed.  Indicates a bug,
     not bad input."""
+
+
+@contextmanager
+def internal(construction: str) -> Iterator[None]:
+    """Run a step whose input the library has already checked: a
+    ``PreconditionError`` it raises is a bug in ``construction``."""
+    try:
+        yield
+    except PreconditionError as exc:
+        raise InternalCheckError(f"{construction}: {exc}") from exc
 
 
 class GenerationError(AbcatError):

@@ -127,16 +127,6 @@ def _cfg(field: ScalarField, seed: int, max_dim: int = 4) -> GenConfig:
 # ---------------------------------------------------------------------------
 # random builders shared by the suites (beyond the public generators)
 
-def _rand_square_universal(rng: SplitMix64, cfg: GenConfig) -> Square:
-    """Any commuting square: a random cospan, then any map into its fiber
-    product.  Every commuting square over that cospan arises this way."""
-    right = rand_mor(rng, cfg, rand_dim(rng, cfg), rand_dim(rng, cfg))
-    bottom = rand_mor(rng, cfg, rand_dim(rng, cfg), right.dst.dim)
-    pb = pullback(right, bottom)
-    e = rand_mor(rng, cfg, rand_dim(rng, cfg), pb.p_obj.dim)
-    return Square(pb.f @ e, pb.g @ e, right, bottom)
-
-
 def _pullback_square(rng: SplitMix64, cfg: GenConfig,
                      bottom_mono: bool = False) -> Square:
     dim_d = rand_dim(rng, cfg)
@@ -455,8 +445,8 @@ def _mixed_square(rng: SplitMix64, cfg: GenConfig,
                   mode: str | None = None) -> tuple[str, Square]:
     if mode is None:
         mode = rng.choice(_MIX_MODES)
-    if mode == "universal":
-        return mode, _rand_square_universal(rng, cfg)
+    if mode == "universal":  # a cospan, then any map into its fiber product
+        return mode, _square_right(rng, cfg, _rand_vertical(rng, cfg), "any")
     if mode == "pullback":
         return mode, _pullback_square(rng, cfg)
     if mode == "pushout":

@@ -55,7 +55,7 @@ from .constructions import (
     pullback,
     pushout,
 )
-from .errors import AbcatError, InternalCheckError
+from .errors import AbcatError, InternalCheckError, internal
 from .linalg import cached_property, solve
 
 
@@ -191,34 +191,35 @@ def connecting_morphism(inp: SnakeInput) -> tuple[Mor, SnakeTrace]:
     trace.  Every intermediate identity is checked; a failure there is a
     bug, not bad input."""
     validate(inp)
-    kw = kernel(inp.w)
-    cu = cokernel(inp.u)
-    mono_a = inp.a if inp.a.is_mono else epi_mono_factorize(inp.a).mono_m
+    with internal("connecting_morphism"):
+        kw = kernel(inp.w)
+        cu = cokernel(inp.u)
+        mono_a = inp.a if inp.a.is_mono else epi_mono_factorize(inp.a).mono_m
 
-    pb = pullback(kw.ker_mor, inp.c)
-    onto_ker, into_b = pb.f, pb.g
-    if not onto_ker.is_epi:
-        raise InternalCheckError("pulling back an epi must give an epi leg")
-    z = kernel(onto_ker)
-    l = mono_lift(mono_a, into_b @ z.ker_mor)
+        pb = pullback(kw.ker_mor, inp.c)
+        onto_ker, into_b = pb.f, pb.g
+        if not onto_ker.is_epi:
+            raise InternalCheckError("pulling back an epi must give an epi leg")
+        z = kernel(onto_ker)
+        l = mono_lift(mono_a, into_b @ z.ker_mor)
 
-    po = pushout(cu.coker_mor, inp.b)
-    from_coker, from_b2 = po.r, po.s
-    if not from_coker.is_mono:
-        raise InternalCheckError("pushing out a mono must give a mono leg")
-    h = cokernel(from_coker)
+        po = pushout(cu.coker_mor, inp.b)
+        from_coker, from_b2 = po.r, po.s
+        if not from_coker.is_mono:
+            raise InternalCheckError("pushing out a mono must give a mono leg")
+        h = cokernel(from_coker)
 
-    carried = from_b2 @ inp.v @ into_b
-    if not (carried @ z.ker_mor).is_zero:
-        raise InternalCheckError("carried map does not vanish on the kernel leg")
-    theta = epi_colift(onto_ker, carried)
-    if not (h.coker_mor @ theta).is_zero:
-        raise InternalCheckError("theta must die in the cokernel of the mono leg")
-    delta = mono_lift(from_coker, theta)
+        carried = from_b2 @ inp.v @ into_b
+        if not (carried @ z.ker_mor).is_zero:
+            raise InternalCheckError("carried map does not vanish on the kernel leg")
+        theta = epi_colift(onto_ker, carried)
+        if not (h.coker_mor @ theta).is_zero:
+            raise InternalCheckError("theta must die in the cokernel of the mono leg")
+        delta = mono_lift(from_coker, theta)
 
-    epi_d = inp.d if inp.d.is_epi else epi_mono_factorize(inp.d).epi_q
-    trace = SnakeTrace(mono_a=mono_a, epi_d=epi_d, pb=pb, z=z.ker_mor, l=l,
-                       po=po, h=h.coker_mor, theta=theta)
+        epi_d = inp.d if inp.d.is_epi else epi_mono_factorize(inp.d).epi_q
+        trace = SnakeTrace(mono_a=mono_a, epi_d=epi_d, pb=pb, z=z.ker_mor, l=l,
+                           po=po, h=h.coker_mor, theta=theta)
     _check_trace(inp, delta, trace)
     return delta, trace
 
@@ -243,20 +244,21 @@ def snake_sequence(inp: SnakeInput) -> SnakeOutput:
     by :func:`connecting_morphism`, whose pullback and pushout keep them.
     """
     delta, trace = connecting_morphism(inp)
-    ku, kv = kernel(inp.u), kernel(inp.v)
-    kw = KernelData(trace.pb.c, inp.w)
-    cu = CokernelData(trace.po.a, inp.u)
-    cv, cw = cokernel(inp.v), cokernel(inp.w)
-    s = kernel_lift(kv, inp.a @ ku.ker_mor)
-    t = kernel_lift(kw, inp.c @ kv.ker_mor)
-    x = cokernel_colift(cu, cv.coker_mor @ inp.b)
-    y = cokernel_colift(cv, cw.coker_mor @ inp.d)
-    report = (
-        is_exact_pair(s, t),
-        is_exact_pair(t, delta),
-        is_exact_pair(delta, x),
-        is_exact_pair(x, y),
-    )
+    with internal("snake_sequence"):
+        ku, kv = kernel(inp.u), kernel(inp.v)
+        kw = KernelData(trace.pb.c, inp.w)
+        cu = CokernelData(trace.po.a, inp.u)
+        cv, cw = cokernel(inp.v), cokernel(inp.w)
+        s = kernel_lift(kv, inp.a @ ku.ker_mor)
+        t = kernel_lift(kw, inp.c @ kv.ker_mor)
+        x = cokernel_colift(cu, cv.coker_mor @ inp.b)
+        y = cokernel_colift(cv, cw.coker_mor @ inp.d)
+        report = (
+            is_exact_pair(s, t),
+            is_exact_pair(t, delta),
+            is_exact_pair(delta, x),
+            is_exact_pair(x, y),
+        )
     return SnakeOutput(ker_u=ku, ker_v=kv, ker_w=kw,
                        coker_u=cu, coker_v=cv, coker_w=cw,
                        s=s, t=t, delta=delta, x=x, y=y,

@@ -37,7 +37,7 @@ from .constructions import (
     pushout,
     pushout_colift,
 )
-from .errors import InternalCheckError, PreconditionError, ShapeError
+from .errors import InternalCheckError, PreconditionError, ShapeError, internal
 from .linalg import cached_property
 
 
@@ -68,14 +68,15 @@ class Square:
     @cached_property
     def analysis(self) -> SquareAnalysis:
         """Compute both comparison maps and all four semi-cartesian conditions."""
-        pb = pullback(self.right, self.bottom)
-        po = pushout(self.top, self.left)
-        e = pullback_lift(pb, self.top, self.left)
-        m = pushout_colift(po, self.right, self.bottom)
-        cond_i = e.is_epi
-        cond_ii = m.is_mono
-        cond_iii = pb.n.is_mono and po.t.is_epi and is_exact_pair(pb.n, po.t)
-        cond_iv = is_exact_pair(po.summed, pb.diff)
+        with internal("Square.analysis"):  # the square commutes, so both lifts exist
+            pb = pullback(self.right, self.bottom)
+            po = pushout(self.top, self.left)
+            e = pullback_lift(pb, self.top, self.left)
+            m = pushout_colift(po, self.right, self.bottom)
+            cond_i = e.is_epi
+            cond_ii = m.is_mono
+            cond_iii = pb.n.is_mono and po.t.is_epi and is_exact_pair(pb.n, po.t)
+            cond_iv = is_exact_pair(po.summed, pb.diff)
 
         if not cond_i == cond_ii == cond_iii == cond_iv:
             raise InternalCheckError(
@@ -132,13 +133,14 @@ def decompose_semicartesian(sq: Square) -> tuple[Square, Square]:
     analysis = analyze(sq)
     if not analysis.is_semicartesian:
         raise PreconditionError("decomposition needs a semi-cartesian square")
-    ftop = epi_mono_factorize(sq.top)
-    fbot = epi_mono_factorize(sq.bottom)
-    mid = epi_colift(ftop.epi_q, fbot.epi_q @ sq.left)
-    if sq.right @ ftop.mono_m != fbot.mono_m @ mid:
-        raise InternalCheckError("induced middle vertical fails the mono side")
-    first = Square(top=ftop.epi_q, left=sq.left, right=mid, bottom=fbot.epi_q)
-    second = Square(top=ftop.mono_m, left=mid, right=sq.right, bottom=fbot.mono_m)
+    with internal("decompose_semicartesian"):
+        ftop = epi_mono_factorize(sq.top)
+        fbot = epi_mono_factorize(sq.bottom)
+        mid = epi_colift(ftop.epi_q, fbot.epi_q @ sq.left)
+        if sq.right @ ftop.mono_m != fbot.mono_m @ mid:
+            raise InternalCheckError("induced middle vertical fails the mono side")
+        first = Square(top=ftop.epi_q, left=sq.left, right=mid, bottom=fbot.epi_q)
+        second = Square(top=ftop.mono_m, left=mid, right=sq.right, bottom=fbot.mono_m)
     if compose_h(first, second) != sq:
         raise InternalCheckError("decomposition does not recompose to the square")
     return first, second

@@ -1,5 +1,6 @@
 """End-to-end command runs: exit codes, report bytes, golden comparisons."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -10,16 +11,18 @@ import time
 
 import pytest
 
-from abcat import cli, diagrams, properties, snake, squares
-from abcat.category import Mor, Obj, zero_mor
+from abcat import cli, constructions, diagrams, properties, snake, squares
+from abcat.category import KernelData, Mor, Obj, identity, zero_mor
 from abcat.cli import main
 from abcat.diagram_io import (
     MAX_DIM,
     diagram_for_morphism,
     diagram_for_pair,
     diagram_for_square,
+    parse_path,
     parse_text,
     serialize,
+    square_from,
 )
 from abcat.diagrams import GenConfig, gen_semicartesian
 from abcat.errors import InternalCheckError, PreconditionError
@@ -590,6 +593,84 @@ def test_internal_check_failure_is_exit_three(run, tmp_path, monkeypatch):
     assert code == 3 and out == ""
     assert err == ("internal error (this is a bug): "
                    "pivot columns failed to span their own matrix\n")
+
+
+def _rows_swapped(kernel):
+    """``kernel`` with the first two rows of each basis swapped: still a mono,
+    but its image is no longer the kernel, as with a wrong basis."""
+    def swapped(f):
+        kd = kernel(f)
+        if kd.ker_mor.mat.rows < 2:
+            return kd
+        first, rest = kd.ker_mor.mat.split_rows(1)
+        second, tail = rest.split_rows(1)
+        return KernelData(Mor(second.vstack(first).vstack(tail)), kd.of)
+    return swapped
+
+
+@pytest.mark.parametrize("module, argv, message", [
+    (snake, ("snake", "worked_snake.json"), "connecting_morphism: no lift: "),
+    (snake, ("snake", "snake_gf7_seed1.json"),
+     "snake_sequence: kernel lift needs a vanishing composite, "),
+    (constructions, ("square", "square_gf7_seed1.json"), "Square.analysis: no lift: "),
+    (constructions, ("square", "square_gf7_seed1.json", "--decompose"),
+     "Square.analysis: no lift: "),
+], ids=["worked_snake", "snake_gf7", "square", "square_decompose"])
+def test_a_lift_failing_on_checked_input_is_a_bug(run, monkeypatch, module, argv, message):
+    monkeypatch.setattr(module, "kernel", _rows_swapped(module.kernel))
+    code, out, err = run(argv[0], str(GOLDEN / argv[1]), *argv[2:])
+    assert code == 3 and out == ""
+    assert err.startswith("internal error (this is a bug): " + message)
+
+
+def test_a_colift_failing_in_the_decomposition_is_a_bug(run, monkeypatch):
+    def refusing(e, t):
+        raise PreconditionError("injected")
+    monkeypatch.setattr(squares, "epi_colift", refusing)
+    code, out, err = run("square", str(GOLDEN / "square_gf7_seed1.json"), "--decompose")
+    assert code == 3 and out == ""
+    assert err == "internal error (this is a bug): decompose_semicartesian: injected\n"
+
+
+def test_bad_square_and_ladder_files_stay_input_errors(run, tmp_path):
+    i = identity(Obj(1, Q))
+    doc = json.loads(serialize(diagram_for_square(squares.Square(i, i, i, i))))
+    doc["morphisms"]["bottom"]["matrix"] = [["2"]]
+    code, out, err = run("square", _write(tmp_path, "sq.json", json.dumps(doc)), "--decompose")
+    assert code == 2 and out == ""
+    assert err.startswith("error: square does not commute, residual ")
+    doc = json.loads((GOLDEN / "worked_snake.json").read_text(encoding="utf-8"))
+    doc["morphisms"]["c"]["matrix"] = [["0", "0"]]
+    code, out, err = run("snake", _write(tmp_path, "ladder.json", json.dumps(doc)), "--oracle")
+    assert code == 2 and err == ""
+    assert "violation: c_epi: " in out
+
+
+def test_square_conditions_that_disagree_are_a_bug(run, monkeypatch):
+    exact = squares.is_exact_pair
+    monkeypatch.setattr(squares, "is_exact_pair", lambda f, g: not exact(f, g))
+    path = str(GOLDEN / "square_gf7_seed1.json")
+    with pytest.raises(InternalCheckError, match="equivalent conditions disagree"):
+        squares.analyze(square_from(parse_path(path)))
+    code, out, err = run("square", path)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error (this is a bug): equivalent conditions disagree: ")
+
+
+def test_exactness_routes_that_disagree_are_a_bug(run, monkeypatch):
+    factorize = constructions.epi_mono_factorize
+
+    def short_mono(f):  # drops a column of the mono part, so the image shrinks
+        fac = factorize(f)
+        return dataclasses.replace(fac, mono_m=Mor(fac.mono_m.mat.split_cols(1)[1]))
+    monkeypatch.setattr(constructions, "epi_mono_factorize", short_mono)
+    path = str(GOLDEN / "pair_q_seed1.json")
+    df = parse_path(path)
+    with pytest.raises(InternalCheckError, match="exactness routes disagree"):
+        constructions.is_exact_pair(df.role("f"), df.role("g"))
+    code, out, err = run("check-exact", path)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error (this is a bug): exactness routes disagree on ")
 
 
 # -- entry points ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from abcat import constructions
 from abcat.category import Mor, Obj, identity, kernel, cokernel, zero_mor
 from abcat.constructions import (
     epi_mono_factorize,
@@ -21,6 +22,7 @@ from abcat.fields import RATIONALS, prime_field
 from abcat.linalg import Matrix
 
 Q = RATIONALS
+GF2 = prime_field(2)
 GF7 = prime_field(7)
 
 
@@ -28,9 +30,9 @@ def qmor(rows, src_dim=None):
     return Mor.from_matrix(Matrix.from_int_rows(Q, rows, src_dim))
 
 
-def _rand_qmor(rng, rows, cols):
+def _rand_mor(rng, rows, cols, field=Q):
     return Mor.from_matrix(Matrix.from_int_rows(
-        Q, [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)], cols))
+        field, [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)], cols))
 
 
 # -- epi-mono factorization ---------------------------------------------------
@@ -70,7 +72,7 @@ def test_image_dimension_is_rank():
 def test_factorize_randomized_roundtrip():
     rng = random.Random(140)
     for _ in range(60):
-        f = _rand_qmor(rng, rng.randint(0, 4), rng.randint(0, 4))
+        f = _rand_mor(rng, rng.randint(0, 4), rng.randint(0, 4))
         fact = epi_mono_factorize(f)
         assert fact.mono_m @ fact.epi_q == f
         assert fact.epi_q.is_epi and fact.mono_m.is_mono
@@ -106,14 +108,18 @@ def test_pullback_needs_common_target():
 
 def test_pullback_lift_roundtrip_and_uniqueness():
     rng = random.Random(8)
-    for _ in range(40):
-        mid = rng.randint(0, 3)
-        c = _rand_qmor(rng, mid, rng.randint(0, 3))
-        d = _rand_qmor(rng, mid, rng.randint(0, 3))
-        pb = pullback(c, d)
-        z = _rand_qmor(rng, pb.p_obj.dim, rng.randint(0, 3))
-        e = pullback_lift(pb, pb.f @ z, pb.g @ z)
-        assert e == z  # mediating map through a mono apex is unique
+    for field in (Q, GF2, GF7):
+        null_corners = 0
+        for _ in range(40):
+            mid = rng.randint(0, 3)
+            c = _rand_mor(rng, mid, rng.randint(0, 3), field)
+            d = _rand_mor(rng, mid, rng.randint(0, 3), field)
+            pb = pullback(c, d)
+            z = _rand_mor(rng, pb.p_obj.dim, rng.randint(0, 3), field)
+            e = pullback_lift(pb, pb.f @ z, pb.g @ z)
+            assert e == z  # mediating map through a mono apex is unique
+            null_corners += any(o.is_null for o in (z.src, c.src, d.src, c.dst, pb.p_obj))
+        assert null_corners > 0
 
 
 def test_pullback_lift_rejects_non_commuting_pair():
@@ -122,8 +128,28 @@ def test_pullback_lift_rejects_non_commuting_pair():
     pb = pullback(c, d)
     x = identity(c.src)
     y = zero_mor(c.src, d.src)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as exc:
         pullback_lift(pb, x, y)  # c@x != d@y
+    # the kernel lift's residual diff @ [x; y] is c @ x - d @ y
+    assert str(exc.value) == ("kernel lift needs a vanishing composite, "
+                              f"got {(c @ x - d @ y).mat}")
+
+
+def test_pullback_and_pushout_lifts_are_the_kernel_and_cokernel_lifts(monkeypatch):
+    calls = {"kernel_lift": 0, "cokernel_colift": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(constructions, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(constructions, name, counting)
+    c, d = qmor([[1, 2], [0, 1]]), qmor([[1], [1]])
+    pb = pullback(c, d)
+    assert pullback_lift(pb, pb.f, pb.g) == identity(pb.p_obj)
+    assert calls == {"kernel_lift": 1, "cokernel_colift": 0}
+    a, b = qmor([[1, -1]]), qmor([[2, 0], [1, 3]])
+    po = pushout(a, b)
+    assert pushout_colift(po, po.r, po.s) == identity(po.s_obj)
+    assert calls == {"kernel_lift": 1, "cokernel_colift": 1}
 
 
 # -- pushout ------------------------------------------------------------------
@@ -155,22 +181,30 @@ def test_pushout_needs_common_source():
 
 def test_pushout_colift_roundtrip():
     rng = random.Random(13)
-    for _ in range(40):
-        mid = rng.randint(0, 3)
-        a = _rand_qmor(rng, rng.randint(0, 3), mid)
-        b = _rand_qmor(rng, rng.randint(0, 3), mid)
-        po = pushout(a, b)
-        z = _rand_qmor(rng, rng.randint(0, 3), po.s_obj.dim)
-        v = pushout_colift(po, z @ po.r, z @ po.s)
-        assert v == z
+    for field in (Q, GF2, GF7):
+        null_corners = 0
+        for _ in range(40):
+            mid = rng.randint(0, 3)
+            a = _rand_mor(rng, rng.randint(0, 3), mid, field)
+            b = _rand_mor(rng, rng.randint(0, 3), mid, field)
+            po = pushout(a, b)
+            z = _rand_mor(rng, rng.randint(0, 3), po.s_obj.dim, field)
+            v = pushout_colift(po, z @ po.r, z @ po.s)
+            assert v == z
+            null_corners += any(o.is_null for o in (z.dst, a.src, a.dst, b.dst, po.s_obj))
+        assert null_corners > 0
 
 
 def test_pushout_colift_rejects_non_commuting_pair():
     a = qmor([[1], [0]])
     b = qmor([[0], [1]])
     po = pushout(a, b)
-    with pytest.raises(PreconditionError):
-        pushout_colift(po, identity(a.dst), zero_mor(b.dst, a.dst))
+    x, y = identity(a.dst), zero_mor(b.dst, a.dst)
+    with pytest.raises(PreconditionError) as exc:
+        pushout_colift(po, x, y)  # x@a != y@b
+    # the cokernel colift's residual [x | -y] @ [a; b] is x @ a - y @ b
+    assert str(exc.value) == ("cokernel colift needs a vanishing composite, "
+                              f"got {(x @ a - y @ b).mat}")
 
 
 def test_pullback_pushout_gf7_smoke():
