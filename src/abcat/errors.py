@@ -24,11 +24,21 @@ class InternalCheckError(AbcatError):
 @contextmanager
 def internal(construction: str) -> Iterator[None]:
     """Run a step whose input the library has already checked: a
-    ``PreconditionError`` it raises is a bug in ``construction``."""
+    ``PreconditionError`` or ``ShapeError`` it raises is a bug in
+    ``construction``."""
     try:
         yield
-    except PreconditionError as exc:
+    except (PreconditionError, ShapeError) as exc:
         raise InternalCheckError(f"{construction}: {exc}") from exc
+
+
+def hold(what: str, checks: dict[str, bool]) -> dict[str, bool]:
+    """Return ``checks``, identities that hold by construction, or raise
+    ``InternalCheckError`` naming the first of them that is false."""
+    for name, ok in checks.items():
+        if not ok:
+            raise InternalCheckError(f"{what} failed: {name}")
+    return checks
 
 
 class GenerationError(AbcatError):

@@ -56,7 +56,6 @@ from .fields import RATIONALS, ScalarField, prime_field
 from .linalg import Matrix, rref, solve
 from .snake import (
     SnakeInput,
-    chase_delta,
     connecting_morphism,
     snake_sequence,
     validate,
@@ -711,17 +710,16 @@ def check_transport(cases: int, seed: int, field: ScalarField) -> SuiteResult:
 
 
 def check_ker_coker_exactness(cases: int, seed: int, field: ScalarField) -> SuiteResult:
-    """On ladders with short exact rows: kernels stay left-exact, cokernels
-    stay right-exact, and the alternating dimension sum vanishes."""
+    """On ladders with short exact rows: the kernel sequence starts mono,
+    the cokernel sequence ends epi, and the alternating dimension sum
+    vanishes.  ``snake_sequence`` itself checks exactness in the middle."""
     base = SplitMix64(seed).derive(26)
     def case(rec: SuiteResult, i: int) -> None:
         cfg = GenConfig(seed=base.next_u64(), field=field, max_dim=4)
         inp = gen_snake_input(cfg, short_exact_rows=True)
         out = snake_sequence(inp)
         rec.check(out.s.is_mono, f"case {i}: induced kernel sequence does not start mono")
-        rec.check(out.exact_report[0], f"case {i}: kernels not exact in the middle")
         rec.check(out.y.is_epi, f"case {i}: induced cokernel sequence does not end epi")
-        rec.check(out.exact_report[3], f"case {i}: cokernels not exact in the middle")
         dims = (out.ker_u.ker_obj.dim - out.ker_v.ker_obj.dim + out.ker_w.ker_obj.dim
                 - out.coker_u.coker_obj.dim + out.coker_v.coker_obj.dim
                 - out.coker_w.coker_obj.dim)
@@ -733,24 +731,17 @@ def check_ker_coker_exactness(cases: int, seed: int, field: ScalarField) -> Suit
 # snake lemma
 
 def check_snake(cases: int, seed: int, field: ScalarField) -> SuiteResult:
-    """Six-term exactness, naturality of the induced maps, trace identities,
-    and the dimension audit on generated ladders."""
+    """The six-term sequence and the dimension audit on generated ladders.
+
+    ``snake_sequence`` itself checks exactness, naturality, the trace
+    identities and delta against the chase; a case where one fails raises,
+    which is a failure of this suite."""
     base = SplitMix64(seed).derive(27)
     def case(rec: SuiteResult, i: int) -> None:
         cfg = GenConfig(seed=base.next_u64(), field=field, max_dim=4)
         inp = gen_snake_input(cfg, short_exact_rows=(i % 5 == 0))
         out = snake_sequence(inp)
-        rec.check(all(out.exact_report),
-                  f"case {i}: exactness report {out.exact_report}")
         rec.bump("delta_nonzero" if not out.delta.is_zero else "delta_zero")
-
-        ij, jk = out.ker_u.ker_mor, out.ker_v.ker_mor
-        kk = out.ker_w.ker_mor
-        rec.check(jk @ out.s == inp.a @ ij, f"case {i}: kernel naturality (s) failed")
-        rec.check(kk @ out.t == inp.c @ jk, f"case {i}: kernel naturality (t) failed")
-        pp, qq, rr = out.coker_u.coker_mor, out.coker_v.coker_mor, out.coker_w.coker_mor
-        rec.check(out.x @ pp == qq @ inp.b, f"case {i}: cokernel naturality (x) failed")
-        rec.check(out.y @ qq == rr @ inp.d, f"case {i}: cokernel naturality (y) failed")
 
         # the alternating sum equals dim Ker(a) - dim Coker(d); it is zero
         # exactly on short-exact-rows ladders
@@ -787,9 +778,10 @@ def _pin_ladder(field: ScalarField) -> SnakeInput:
 
 def check_snake_oracle(cases: int, seed: int, field: ScalarField) -> SuiteResult:
     """The categorical connecting morphism against the element chase: they
-    are equal on every ladder, with sign +1.  Case 0 is a fixed ladder whose
-    connecting morphism is nonzero, so at least one nonzero pair is always
-    compared."""
+    are equal on every ladder, with sign +1.  ``connecting_morphism`` makes
+    the comparison and raises on a mismatch, which is a failure of this
+    suite.  Case 0 is a fixed ladder whose connecting morphism is nonzero,
+    so at least one nonzero pair is always compared."""
     base = SplitMix64(seed).derive(28)
     def case(rec: SuiteResult, i: int) -> None:
         if i == 0:
@@ -798,8 +790,7 @@ def check_snake_oracle(cases: int, seed: int, field: ScalarField) -> SuiteResult
             cfg = GenConfig(seed=base.next_u64(), field=field, max_dim=4)
             inp = gen_snake_input(cfg, short_exact_rows=(i % 4 == 0))
         delta, _ = connecting_morphism(inp)
-        if rec.check(delta == chase_delta(inp), f"case {i}: delta differs from the chase"):
-            rec.bump("zero" if delta.is_zero else "pinned_plus")
+        rec.bump("zero" if delta.is_zero else "pinned_plus")
     rec = _run(f"snake.oracle[{field}]", cases, case)
     rec.check("pinned_plus" in rec.counters, "no nonzero delta was compared")
     return rec
@@ -814,15 +805,13 @@ def worked_example_input() -> SnakeInput:
 
 def check_worked_example() -> SuiteResult:
     """Frozen expectations for the worked ladder: boundary map ranks
-    (1, 0, 1, 0, 1), invertible connecting morphism, full exactness."""
+    (1, 0, 1, 0, 1) and an invertible connecting morphism.  Exactness and
+    the chase are checked by ``snake_sequence`` itself."""
     def case(rec: SuiteResult, i: int) -> None:
-        inp = worked_example_input()
-        out = snake_sequence(inp)
+        out = snake_sequence(worked_example_input())
         got = (out.s.rank, out.t.rank, out.delta.rank, out.x.rank, out.y.rank)
         rec.check(got == (1, 0, 1, 0, 1), f"ranks {got} != (1, 0, 1, 0, 1)")
         rec.check(out.delta.is_iso, "connecting morphism is not invertible")
-        rec.check(all(out.exact_report), f"exactness report {out.exact_report}")
-        rec.check(out.delta == chase_delta(inp), "worked example: delta differs from the chase")
     return _run("snake.worked_example", 1, case)
 
 

@@ -28,8 +28,14 @@ pushouts: it solves ``c x = k`` for all kernel basis columns at once, pushes
 the solution through ``v``, solves against ``b``, and projects by ``p``.
 ``a`` rides along the last three steps and must come out zero, so the
 result does not depend on the solution picked.  The two routes agree
-exactly, with sign +1; ``abcat snake --oracle`` and the selftest hold every
-constructed ``delta`` to its chase.
+exactly, with sign +1: ``connecting_morphism`` holds every ``delta`` it
+builds to its chase.  The chase reads only the canonical bases
+``kernel(w)`` and ``cokernel(u)``, never the construction's trace.
+
+``snake_sequence`` checks the lemma's other fact as it builds the six-term
+sequence: the sequence is exact, and the induced maps make their
+naturality squares commute.  A failed identity raises
+``InternalCheckError``, so a result is only ever returned checked.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from .constructions import (
     pullback,
     pushout,
 )
-from .errors import AbcatError, InternalCheckError, internal
+from .errors import AbcatError, InternalCheckError, hold, internal
 from .linalg import cached_property, solve
 
 
@@ -154,9 +160,9 @@ class SnakeTrace:
 
 @dataclass(frozen=True)
 class SnakeOutput:
-    """Kernels, cokernels, the five induced maps, the exactness report for
-    the four interior positions of the six-term sequence, and the trace of
-    the construction of ``delta``."""
+    """Kernels, cokernels, the five maps of the six-term sequence, and the
+    trace of the construction of ``delta``.  :func:`snake_sequence` returns
+    one only after checking that the sequence is exact and natural."""
 
     ker_u: KernelData
     ker_v: KernelData
@@ -169,7 +175,6 @@ class SnakeOutput:
     delta: Mor
     x: Mor
     y: Mor
-    exact_report: tuple[bool, bool, bool, bool]
     trace: SnakeTrace
 
 
@@ -188,60 +193,50 @@ def validate(inp: SnakeInput) -> SnakeInput:
 
 def connecting_morphism(inp: SnakeInput) -> tuple[Mor, SnakeTrace]:
     """The connecting morphism ``Ker w -> Coker u`` with its construction
-    trace.  Every intermediate identity is checked; a failure there is a
-    bug, not bad input."""
+    trace.  The trace identities are checked, and ``delta`` must equal
+    :func:`chase_delta`; a failure there is a bug, not bad input."""
     validate(inp)
     with internal("connecting_morphism"):
         kw = kernel(inp.w)
         cu = cokernel(inp.u)
         mono_a = inp.a if inp.a.is_mono else epi_mono_factorize(inp.a).mono_m
 
+        # the leg onto Ker w is epi and the leg out of Coker u is mono, as
+        # the lifts through them require, because c is epi and b is mono
         pb = pullback(kw.ker_mor, inp.c)
         onto_ker, into_b = pb.f, pb.g
-        if not onto_ker.is_epi:
-            raise InternalCheckError("pulling back an epi must give an epi leg")
         z = kernel(onto_ker)
         l = mono_lift(mono_a, into_b @ z.ker_mor)
 
         po = pushout(cu.coker_mor, inp.b)
         from_coker, from_b2 = po.r, po.s
-        if not from_coker.is_mono:
-            raise InternalCheckError("pushing out a mono must give a mono leg")
         h = cokernel(from_coker)
 
-        carried = from_b2 @ inp.v @ into_b
-        if not (carried @ z.ker_mor).is_zero:
-            raise InternalCheckError("carried map does not vanish on the kernel leg")
-        theta = epi_colift(onto_ker, carried)
-        if not (h.coker_mor @ theta).is_zero:
-            raise InternalCheckError("theta must die in the cokernel of the mono leg")
+        theta = epi_colift(onto_ker, from_b2 @ inp.v @ into_b)
         delta = mono_lift(from_coker, theta)
 
         epi_d = inp.d if inp.d.is_epi else epi_mono_factorize(inp.d).epi_q
         trace = SnakeTrace(mono_a=mono_a, epi_d=epi_d, pb=pb, z=z.ker_mor, l=l,
                            po=po, h=h.coker_mor, theta=theta)
-    _check_trace(inp, delta, trace)
+        hold("trace identity", {
+            "fiber product square": pb.c @ pb.f == pb.d @ pb.g,
+            "factorization through a": mono_a @ l == pb.g @ trace.z,
+            "colift identity for theta": theta @ pb.f == po.s @ inp.v @ pb.g,
+            "lift identity for delta": po.r @ delta == theta,
+        })
+        if delta != chase_delta(inp):
+            raise InternalCheckError("the connecting morphism differs from the element chase")
     return delta, trace
 
 
-def _check_trace(inp: SnakeInput, delta: Mor, tr: SnakeTrace) -> None:
-    pb = tr.pb
-    checks = [
-        (pb.c @ pb.f == pb.d @ pb.g, "fiber product square"),
-        (tr.mono_a @ tr.l == pb.g @ tr.z, "factorization through a"),
-        (tr.theta @ pb.f == tr.po.s @ inp.v @ pb.g, "colift identity for theta"),
-        (tr.po.r @ delta == tr.theta, "lift identity for delta"),
-    ]
-    for ok, name in checks:
-        if not ok:
-            raise InternalCheckError(f"trace identity failed: {name}")
-
-
 def snake_sequence(inp: SnakeInput) -> SnakeOutput:
-    """Kernels, cokernels, induced maps, delta, and the exactness report.
+    """Kernels, cokernels, the induced maps and delta, all checked.
 
     The input is validated, and ``Ker w`` and ``Coker u`` are built, once:
     by :func:`connecting_morphism`, whose pullback and pushout keep them.
+    Each of ``s, t, x, y`` must make its naturality square commute, and the
+    sequence must be exact at ``Ker v``, ``Ker w``, ``Coker u`` and
+    ``Coker v``; a failure there is a bug, not bad input.
     """
     delta, trace = connecting_morphism(inp)
     with internal("snake_sequence"):
@@ -249,20 +244,21 @@ def snake_sequence(inp: SnakeInput) -> SnakeOutput:
         kw = KernelData(trace.pb.c, inp.w)
         cu = CokernelData(trace.po.a, inp.u)
         cv, cw = cokernel(inp.v), cokernel(inp.w)
-        s = kernel_lift(kv, inp.a @ ku.ker_mor)
-        t = kernel_lift(kw, inp.c @ kv.ker_mor)
-        x = cokernel_colift(cu, cv.coker_mor @ inp.b)
-        y = cokernel_colift(cv, cw.coker_mor @ inp.d)
-        report = (
-            is_exact_pair(s, t),
-            is_exact_pair(t, delta),
-            is_exact_pair(delta, x),
-            is_exact_pair(x, y),
-        )
+        a_ku, c_kv = inp.a @ ku.ker_mor, inp.c @ kv.ker_mor
+        cv_b, cw_d = cv.coker_mor @ inp.b, cw.coker_mor @ inp.d
+        s, t = kernel_lift(kv, a_ku), kernel_lift(kw, c_kv)
+        x, y = cokernel_colift(cu, cv_b), cokernel_colift(cv, cw_d)
+        hold("snake_sequence: naturality square", {
+            "s": kv.ker_mor @ s == a_ku, "t": kw.ker_mor @ t == c_kv,
+            "x": x @ cu.coker_mor == cv_b, "y": y @ cv.coker_mor == cw_d,
+        })
+        hold("snake_sequence: exactness", {
+            "at Ker v": is_exact_pair(s, t), "at Ker w": is_exact_pair(t, delta),
+            "at Coker u": is_exact_pair(delta, x), "at Coker v": is_exact_pair(x, y),
+        })
     return SnakeOutput(ker_u=ku, ker_v=kv, ker_w=kw,
                        coker_u=cu, coker_v=cv, coker_w=cw,
-                       s=s, t=t, delta=delta, x=x, y=y,
-                       exact_report=report, trace=trace)
+                       s=s, t=t, delta=delta, x=x, y=y, trace=trace)
 
 
 def chase_delta(inp: SnakeInput) -> Mor:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from abcat import cli, constructions, diagrams, properties, snake, squares
+from abcat import cli, constructions, diagrams, linalg, properties, snake, squares
 from abcat.category import KernelData, Mor, Obj, identity, zero_mor
 from abcat.cli import main
 from abcat.diagram_io import (
@@ -265,13 +265,67 @@ def test_snake_builds_delta_once_and_validates_once(run, monkeypatch):
 
 
 def test_snake_oracle_mismatch_is_a_bug(run, monkeypatch):
-    # the chase must equal delta itself, so a chase of the opposite sign is a
-    # failed internal identity, not a verdict
-    monkeypatch.setattr(cli, "chase_delta", lambda inp: -snake.chase_delta(inp))
-    code, out, err = run("snake", str(GOLDEN / "worked_snake.json"), "--oracle")
+    # the chase must equal delta itself, with or without --oracle, so a
+    # chase of the opposite sign is a failed internal identity, not a verdict
+    chase = snake.chase_delta
+    monkeypatch.setattr(snake, "chase_delta", lambda inp: -chase(inp))
+    for flags in ((), ("--oracle",)):
+        code, out, err = run("snake", str(GOLDEN / "worked_snake.json"), *flags)
+        assert code == 3 and out == ""
+        assert err == ("internal error (this is a bug): "
+                       "the connecting morphism differs from the element chase\n")
+
+
+def _wrong_kernel_lift(monkeypatch):
+    # the zero map in place of s = [[1]]
+    monkeypatch.setattr(snake, "kernel_lift", lambda kd, t: zero_mor(t.src, kd.ker_mor.src))
+
+
+def _false_third_exactness(monkeypatch):
+    # the validation tests the ladder's two rows; the third test is the
+    # sequence's at Ker v
+    exact, calls = snake.is_exact_pair, []
+    def false_third(f, g):
+        calls.append(1)
+        return exact(f, g) and len(calls) != 3
+    monkeypatch.setattr(snake, "is_exact_pair", false_third)
+
+
+@pytest.mark.parametrize("inject, message", [
+    (_wrong_kernel_lift, "snake_sequence: naturality square failed: s"),
+    (_false_third_exactness, "snake_sequence: exactness failed: at Ker v"),
+], ids=["wrong_kernel_lift", "non_exact_at_ker_v"])
+def test_a_snake_identity_failing_is_a_bug_not_a_verdict(run, monkeypatch, inject, message):
+    inject(monkeypatch)
+    code, out, err = run("snake", str(GOLDEN / "worked_snake.json"))
     assert code == 3 and out == ""
-    assert err == ("internal error (this is a bug): "
-                   "the connecting morphism differs from the element chase\n")
+    assert err == f"internal error (this is a bug): {message}\n"
+
+
+def test_a_shape_error_in_the_connecting_morphism_is_a_bug(run, monkeypatch):
+    # a Ker w basis with an extra zero row no longer meets c in the pullback
+    def padded(f, _kernel=snake.kernel):
+        kd = _kernel(f)
+        zero = Matrix.zeros(f.field, 1, kd.ker_obj.dim)
+        return KernelData(Mor(kd.ker_mor.mat.vstack(zero)), f)
+    monkeypatch.setattr(snake, "kernel", padded)
+    code, out, err = run("snake", str(GOLDEN / "worked_snake.json"))
+    assert code == 3 and out == ""
+    assert err == ("internal error (this is a bug): connecting_morphism: "
+                   "pullback needs a common target: Q^2 vs Q^1\n")
+
+
+@pytest.mark.parametrize("golden, flags", [
+    ("worked_snake", ("--trace",)), ("snake_gf7_seed1", ()), ("snake_gf7_seed9", ("--trace",)),
+])
+def test_oracle_only_adds_its_three_lines(run, golden, flags):
+    code, out, err = run("snake", str(GOLDEN / f"{golden}.json"), *flags)
+    assert code == 0 and err == ""
+    oracle = (GOLDEN / f"{golden}_report.txt").read_text(encoding="utf-8").splitlines(True)
+    kept = [line for line in oracle
+            if not line.startswith(("oracle_matches_up_to_sign: ", "chase: ", "oracle_sign: "))]
+    assert len(oracle) - len(kept) == 3
+    assert out == "".join(kept)
 
 
 def test_square_decompose_analyses_once(run, monkeypatch):
@@ -644,6 +698,49 @@ def test_bad_square_and_ladder_files_stay_input_errors(run, tmp_path):
     code, out, err = run("snake", _write(tmp_path, "ladder.json", json.dumps(doc)), "--oracle")
     assert code == 2 and err == ""
     assert "violation: c_epi: " in out
+
+
+def _negated_mono_part(monkeypatch):
+    factorize = cli.epi_mono_factorize
+    monkeypatch.setattr(cli, "epi_mono_factorize", lambda f: dataclasses.replace(
+        factorize(f), mono_m=-factorize(f).mono_m))
+
+
+def _negated_pullback_leg(monkeypatch):
+    pullback = cli.pullback
+    monkeypatch.setattr(cli, "pullback", lambda c, d: dataclasses.replace(
+        pullback(c, d), f=-pullback(c, d).f))
+
+
+def _negated_pushout_leg(monkeypatch):
+    pushout = cli.pushout
+    monkeypatch.setattr(cli, "pushout", lambda a, b: dataclasses.replace(
+        pushout(a, b), r=-pushout(a, b).r))
+
+
+@pytest.mark.parametrize("inject, argv, message", [
+    (_negated_mono_part, ("factor", "pair_q_seed1.json", "--morphism", "g"),
+     "factor failed: recomposes"),
+    (_negated_pullback_leg, ("pullback", "pair_q_seed1.json", "--of", "f,f"),
+     "pullback failed: square_commutes"),
+    (_negated_pushout_leg, ("pushout", "pair_q_seed1.json", "--of", "g,g"),
+     "pushout failed: square_commutes"),
+], ids=["factor", "pullback", "pushout"])
+def test_a_false_construction_identity_is_a_bug_not_a_verdict(run, monkeypatch, inject,
+                                                               argv, message):
+    inject(monkeypatch)
+    code, out, err = run(argv[0], str(GOLDEN / argv[1]), *argv[2:])
+    assert code == 3 and out == ""
+    assert err == f"internal error (this is a bug): {message}\n"
+
+
+def test_any_other_exception_is_a_bug_without_a_traceback(run, monkeypatch):
+    def dividing(rows, ncols):
+        raise ZeroDivisionError("injected")
+    monkeypatch.setattr(linalg, "_rref_rows", dividing)
+    code, out, err = run("check-exact", str(GOLDEN / "pair_q_seed1.json"))
+    assert code == 3 and out == ""
+    assert err == "internal error (this is a bug): ZeroDivisionError: injected\n"
 
 
 def test_square_conditions_that_disagree_are_a_bug(run, monkeypatch):
